@@ -7,17 +7,21 @@ equality and there is no tolerance parameter anywhere.
 
 Coefficients are stored as ``int`` whenever the denominator is 1 and as
 ``fractions.Fraction`` otherwise.  Python compares and hashes the two
-consistently, and keeping integers unboxed makes the convolution loop much
-faster (symmetrizer coefficients are almost always integers).
+consistently.  The convolution kernel scales each operand to integer
+coefficients and divides once at the end, so a product of integer elements
+never touches a Fraction.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .perm import Permutation, _intern, all_permutations
+from .perm import Permutation, _intern, _parity_of_word, all_permutations
 
 Coeff = Union[int, Fraction]
 
@@ -230,28 +234,49 @@ class AlgebraElement:
         return AlgebraElement.from_json(json.loads(s))
 
 
+_BYTE_IDENTITY = bytes(range(256))
+
+
+def _integer_groups(f: AlgebraElement, tail: bytes) -> tuple[int, dict[int, list[bytes]]]:
+    """f scaled to integers: the lcm d of its denominators, and for each
+    integer coefficient d*c the words of its permutations as bytes + tail."""
+    den = math.lcm(*{c.denominator for c in f._terms.values()})
+    groups: dict[int, list[bytes]] = {}
+    for p, c in f._terms.items():
+        groups.setdefault(c.numerator * (den // c.denominator), []).append(bytes(p.w) + tail)
+    return den, groups
+
+
 def _mul_full(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     """Convolution product, the hot loop of the whole package.
 
-    Accumulates keyed by raw 0-based words so hashing stays at C speed;
-    permutations are re-interned once per distinct result term.
+    Every one of the |f|*|g| compositions is formed, in C: a word of f
+    becomes a 256-byte translation table, so p*q is ``q.translate(p)``, and
+    a Counter counts the composed words of each pair of coefficient groups.
+    Coefficients meet only once per distinct result word and coefficient.
     """
-    acc: dict[tuple[int, ...], Coeff] = {}
-    gitems = [(q.w, cq) for q, cq in g._terms.items()]
+    n = f.degree
+    if n > 256:
+        raise ValueError(f"degree {n} exceeds 256, the largest the byte-word kernel holds")
+    fden, tables = _integer_groups(f, _BYTE_IDENTITY[n:])
+    gden, words = _integer_groups(g, b"")
+    counts: dict[int, Counter] = {}
+    for kf, ps in tables.items():
+        for kg, qs in words.items():
+            counter = counts.get(kf * kg)
+            if counter is None:
+                counter = counts[kf * kg] = Counter()
+            counter.update(itertools.starmap(bytes.translate, itertools.product(qs, ps)))
+    acc: dict[bytes, int] = {}
     acc_get = acc.get
-    for p, cp in f._terms.items():
-        getter = p.w.__getitem__
-        for qw, cq in gitems:
-            w = tuple(map(getter, qw))
-            c = cp * cq
-            prev = acc_get(w)
-            acc[w] = c if prev is None else prev + c
+    for k, counter in counts.items():
+        for w, m in counter.items():
+            acc[w] = acc_get(w, 0) + k * m
+    den = fden * gden
     terms: dict[Permutation, Coeff] = {}
     for w, c in acc.items():
         if c:
-            if type(c) is Fraction and c.denominator == 1:
-                c = c.numerator
-            terms[_intern(w)] = c
+            terms[_intern(tuple(w))] = c // den if c % den == 0 else Fraction(c, den)
     return AlgebraElement._make(f.degree, terms)
 
 
@@ -276,28 +301,7 @@ def conjugate(d: Permutation, f: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._make(f.degree, terms)
 
 
-def _arrangement_parity(values: tuple[int, ...], sorted_values: tuple[int, ...]) -> int:
-    """Sign of the permutation taking sorted_values to values positionwise."""
-    index = {v: i for i, v in enumerate(sorted_values)}
-    word = [index[v] for v in values]
-    seen = [False] * len(word)
-    sign = 1
-    for i in range(len(word)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = word[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _set_sum(entries: Iterable[int], n: int, signed: bool) -> AlgebraElement:
-    import itertools
-
     xs = tuple(sorted(entries))
     if any(not (1 <= x <= n) for x in xs):
         raise ValueError(f"entries {list(xs)} not contained in {{1..{n}}}")
@@ -306,11 +310,12 @@ def _set_sum(entries: Iterable[int], n: int, signed: bool) -> AlgebraElement:
     base = list(range(n))
     terms: dict[Permutation, Coeff] = {}
     positions = [x - 1 for x in xs]
+    index = {x: i for i, x in enumerate(xs)}
     for arr in itertools.permutations(xs):
         w = base[:]
         for pos, val in zip(positions, arr):
             w[pos] = val - 1
-        coeff = _arrangement_parity(arr, xs) if signed else 1
+        coeff = _parity_of_word([index[v] for v in arr]) if signed else 1
         terms[_intern(tuple(w))] = coeff
     return AlgebraElement._make(n, terms)
 
@@ -327,8 +332,6 @@ def antisymmetrize_set(entries: Iterable[int], n: int) -> AlgebraElement:
 
 def random_element(n: int, nterms: int, rng, max_num: int = 5) -> AlgebraElement:
     """Small random element, used by property tests."""
-    import math
-
     terms: dict[Permutation, Coeff] = {}
     order = math.factorial(n)
     perms = list(all_permutations(n)) if order <= 720 else None

@@ -55,10 +55,11 @@ class Permutation:
     _hash: int
 
     def __new__(cls, word: Iterable[int]) -> "Permutation":
+        word = list(word)
         w = tuple(v - 1 for v in word)
         n = len(w)
         if sorted(w) != list(range(n)):
-            raise ValueError(f"not a one-line word of {{1..{n}}}: {list(word)}")
+            raise ValueError(f"not a one-line word of {{1..{n}}}: {word}")
         return _intern(w)
 
     # -- constructors ------------------------------------------------------

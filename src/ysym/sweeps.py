@@ -85,7 +85,8 @@ class SuiteReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        """No failures, and at least one case ran: an empty sweep proves nothing."""
+        return self.cases > 0 and not self.failures
 
     def to_json(self) -> dict:
         return {
@@ -607,7 +608,13 @@ def run_suite(name: str, max_n: int | None = None, jobs: int = 1) -> SuiteReport
 def default_max_n(name: str) -> int:
     env = os.environ.get("YSYM_MAX_N")
     if env:
-        return int(env)
+        try:
+            bound = int(env)
+        except ValueError:
+            raise ValueError(f"YSYM_MAX_N must be an integer, not {env!r}") from None
+        if bound < 1:
+            raise ValueError(f"YSYM_MAX_N must be at least 1, not {bound}")
+        return bound
     return DEFAULT_MAX_N[name]
 
 

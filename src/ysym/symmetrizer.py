@@ -17,6 +17,7 @@ validate the supporting identities of the closed formula.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .algebra import AlgebraElement, Coeff
-from .perm import Permutation, _intern
+from .perm import Permutation, _intern, _parity_of_word
 from .tableau import (
     BlockDecomposition,
     Partition,
@@ -47,10 +48,11 @@ def _group_product_sum(cell_sets: Iterable[frozenset[int]], n: int, signed: bool
         return AlgebraElement._make(n, {_intern(base): 1})
     arrangements = []
     for s in sets:
+        index = {v: i for i, v in enumerate(s)}
         opts = []
         for arr in itertools.permutations(s):
             if signed:
-                sign = _arr_parity(arr, s)
+                sign = _parity_of_word([index[v] for v in arr])
             else:
                 sign = 1
             opts.append((arr, sign))
@@ -67,24 +69,6 @@ def _group_product_sum(cell_sets: Iterable[frozenset[int]], n: int, signed: bool
     return AlgebraElement._make(n, terms)
 
 
-def _arr_parity(values: tuple[int, ...], sorted_values: tuple[int, ...]) -> int:
-    index = {v: i for i, v in enumerate(sorted_values)}
-    word = [index[v] for v in values]
-    seen = [False] * len(word)
-    sign = 1
-    for i in range(len(word)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = word[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 @dataclass(frozen=True)
 class SymmetrizerTriple:
     """Row symmetrization, signed column antisymmetrization, their product."""
@@ -93,7 +77,12 @@ class SymmetrizerTriple:
     degree: int
     a_part: AlgebraElement
     b_part: AlgebraElement
-    c: AlgebraElement
+
+    @functools.cached_property
+    def c(self) -> AlgebraElement:
+        """The Young symmetrizer a*b, formed on first use: some callers need
+        only a and b, and c has up to |R(T)|*|C(T)| terms."""
+        return self.a_part * self.b_part
 
     @property
     def alpha(self) -> int:
@@ -117,7 +106,7 @@ def young_symmetrizer(T: YoungTableau, degree: int | None = None) -> Symmetrizer
     cols = [T.column_set(j) for j in range(1, T.shape.part(1) + 1)]
     a_part = _group_product_sum(rows, n, signed=False)
     b_part = _group_product_sum(cols, n, signed=True)
-    triple = SymmetrizerTriple(T, n, a_part, b_part, a_part * b_part)
+    triple = SymmetrizerTriple(T, n, a_part, b_part)
     if len(_SYMMETRIZER_CACHE) > 4096:
         _SYMMETRIZER_CACHE.clear()
     _SYMMETRIZER_CACHE[key] = triple

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .algebra import AlgebraElement, Coeff, coeff_from_str, coeff_to_str, normalize_coeff
-from .perm import Permutation, _intern
+from .perm import Permutation, _intern, _parity_of_word
 from .perm import star as perm_star
 from .symmetrizer import expand_product, young_symmetrizer
 from .tableau import Partition, YoungTableau
@@ -182,18 +182,7 @@ def _column_sorted_with_sign(F: YoungTableau, k: int) -> tuple[int, YoungTableau
         want = sorted([e for e in col if e <= k]) + sorted([e for e in col if e > k])
         if want != col:
             index = {v: i for i, v in enumerate(col)}
-            word = [index[v] for v in want]
-            seen = [False] * len(word)
-            for i in range(len(word)):
-                if seen[i]:
-                    continue
-                j2, length = i, 0
-                while not seen[j2]:
-                    seen[j2] = True
-                    j2 = word[j2]
-                    length += 1
-                if length % 2 == 0:
-                    sign = -sign
+            sign *= _parity_of_word([index[v] for v in want])
         cols.append(want)
     return sign, YoungTableau(_columns_to_rows(cols))
 

@@ -16,6 +16,8 @@ from ysym.algebra import (
     symmetrize_set,
 )
 from ysym.perm import Permutation, all_permutations
+from ysym.symmetrizer import expand_product, young_symmetrizer
+from ysym.tableau import YoungTableau, partitions
 
 
 def test_linear_cancellation():
@@ -52,19 +54,91 @@ def test_multiply_by_unit():
     assert AlgebraElement.unit(4) * f == f
 
 
-def test_multiply_matches_pointwise_convolution():
-    # oracle: accumulate coefficients over all pairs by hand
-    rng = random.Random(11)
-    f = random_element(4, 4, rng)
-    g = random_element(4, 4, rng)
+def _pointwise(f, g):
+    """The oracle: accumulate coefficients over all pairs by hand."""
     expected = {}
     for p, cp in f.items():
         for q, cq in g.items():
             r = p * q
             expected[r] = expected.get(r, 0) + cp * cq
-    expected = {p: c for p, c in expected.items() if c}
+    return {p: c for p, c in expected.items() if c}
+
+
+def test_multiply_matches_pointwise_convolution():
+    rng = random.Random(11)
+    f = random_element(4, 4, rng)
+    g = random_element(4, 4, rng)
+    assert dict((f * g).items()) == _pointwise(f, g)
+
+
+_KERNEL_COEFFS = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def _kernel_operands(draw):
+    """Two elements of one degree 0..6; one side often has just one or two terms."""
+    n = draw(st.integers(0, 6))
+    perm = st.permutations(list(range(1, n + 1))).map(Permutation)
+    left, right = draw(st.sampled_from([(24, 2), (2, 24), (12, 12)]))
+    f = AlgebraElement(n, draw(st.dictionaries(perm, _KERNEL_COEFFS, max_size=left)))
+    g = AlgebraElement(n, draw(st.dictionaries(perm, _KERNEL_COEFFS, max_size=right)))
+    return f, g
+
+
+@given(_kernel_operands())
+def test_kernel_matches_pointwise_oracle(operands):
+    f, g = operands
     got = f * g
-    assert dict(got.items()) == expected
+    assert dict(got.items()) == _pointwise(f, g)
+    assert not any(type(c) is Fraction and c.denominator == 1 for _, c in got.items())
+    assert (f * (g - g)).is_zero()
+    assert ((g - g) * f).is_zero()
+
+
+@pytest.mark.parametrize("n", list(range(2, 7)))
+def test_kernel_cancels_across_coefficient_groups(n):
+    # (1 + t)(1 - t) = 1 - t^2 = 0: every composed word meets its negative.
+    unit = AlgebraElement.unit(n)
+    t = AlgebraElement.from_perm(Permutation.transposition(1, n, n))
+    f = (unit + t).scale(Fraction(2, 3))
+    g = (unit - t).scale(Fraction(3, 4))
+    assert (f * g).is_zero()
+    assert (f * (unit + t)) == (unit + t).scale(Fraction(4, 3))
+
+
+def test_kernel_degree_limit():
+    t = AlgebraElement.from_perm(Permutation.transposition(1, 256, 256))
+    assert t * t == AlgebraElement.unit(256)
+    with pytest.raises(ValueError, match="257"):
+        AlgebraElement.unit(257) * AlgebraElement.unit(257)
+
+
+def _non_canonical_fillings(lam):
+    """Two hand-picked fillings of lam and a degree above their largest entry:
+    entries n..1 in reading order, and 2..n+1 down the columns with degree n+2."""
+    n = lam.n
+    down = iter(range(n, 0, -1))
+    yield YoungTableau([[next(down) for _ in range(part)] for part in lam]), n
+    up = iter(range(2, n + 2))
+    columns = [[next(up) for _ in range(height)] for height in lam.conjugate()]
+    rows = [[col[i] for col in columns if i < len(col)] for i in range(len(lam))]
+    yield YoungTableau(rows), n + 2
+
+
+@pytest.mark.parametrize("n", list(range(1, 6)))
+def test_symmetrizer_products_on_non_canonical_tableaux(n):
+    for lam in partitions(n):
+        for t, degree in _non_canonical_fillings(lam):
+            c = young_symmetrizer(t, degree).c
+            assert c * c == c.scale(lam.hook_product())
+            for k in range(1, n + 1):
+                for mu in partitions(k, within=lam):
+                    s = t.restrict(mu)
+                    e = expand_product(t, s, degree).element
+                    assert c * young_symmetrizer(s, degree).c == c * e
 
 
 def test_multiply_associative_random():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ysym.algebra import AlgebraElement
 from ysym.cli import main
 from ysym.symmetrizer import closed_form_multiplier
@@ -91,6 +93,15 @@ def test_verify_env_override(capsys, monkeypatch, tmp_path):
     assert code == 0
     report = json.loads(out_file.read_text())
     assert report["suites"][0]["max_n"] == 3
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+def test_verify_env_bound_rejected(capsys, monkeypatch, value):
+    monkeypatch.setenv("YSYM_MAX_N", value)
+    code, _, err = run(capsys, ["verify", "--suites", "garnir"])
+    assert code == 2
+    assert "YSYM_MAX_N" in err
+    assert "PASS" not in err
 
 
 def test_certificate_with_check(capsys):

@@ -144,6 +144,12 @@ def test_bad_words_rejected():
         Permutation([2, 3])
 
 
+def test_bad_generator_word_reported_in_full():
+    with pytest.raises(ValueError, match=r"\[1, 1, 2\]"):
+        Permutation(x for x in [1, 1, 2])
+    assert Permutation(x for x in [2, 1, 3]) == Permutation([2, 1, 3])
+
+
 def test_pad():
     t = Permutation.transposition(1, 2, 2)
     assert t.pad(4) == Permutation.transposition(1, 2, 4)

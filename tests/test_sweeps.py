@@ -32,6 +32,13 @@ def test_env_var_overrides_default(monkeypatch):
     assert default_max_n("idempotence") == 4
 
 
+def test_empty_suite_is_not_a_pass():
+    report = run_suite("garnir", 1)
+    assert report.cases == 0
+    assert not report.ok
+    assert report.to_json()["ok"] is False
+
+
 def test_parallel_matches_serial():
     serial = run_suite("garnir", 4, jobs=1)
     parallel = run_suite("garnir", 4, jobs=2)
