@@ -10,10 +10,9 @@ from .algebra import (
     AlgebraElement,
     antisymmetrize_set,
     conjugate,
-    linear,
     symmetrize_set,
 )
-from .perm import Permutation, compose, star
+from .perm import Permutation, star
 from .symmetrizer import (
     CongruenceContext,
     ExpansionMultiplier,
@@ -44,12 +43,10 @@ from .tensor import (
     SymElement,
     Tabloid,
     TensorElement,
-    concat_mul,
     graph_tabloid,
     graphs_containing,
     membership_certificate,
     project_sym,
-    realize_dn_tabloid,
     realize_tabloid,
     star_algebra,
     straighten,
@@ -77,8 +74,6 @@ __all__ = [
     "antisymmetrize_set",
     "blocks_from_column",
     "closed_form_multiplier",
-    "compose",
-    "concat_mul",
     "congruent",
     "conjugate",
     "dominates",
@@ -87,11 +82,9 @@ __all__ = [
     "graph_tabloid",
     "graphs_containing",
     "in_left_set",
-    "linear",
     "membership_certificate",
     "partitions",
     "project_sym",
-    "realize_dn_tabloid",
     "realize_tabloid",
     "rightmost_corner_outside",
     "star",

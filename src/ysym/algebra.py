@@ -19,7 +19,7 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Collection, Iterable, Mapping, Union
 
 from .perm import Permutation, _intern, _parity_of_word, all_permutations
 
@@ -31,6 +31,22 @@ def normalize_coeff(c: Coeff) -> Coeff:
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
+
+
+def _add_into(acc: dict, pairs: Iterable[tuple]) -> dict:
+    """Add each (key, coeff) pair into acc, dropping keys whose sum is zero.
+
+    The one accumulation loop behind every sparse linear combination:
+    group algebra elements, symmetrized elements and block projections.
+    """
+    get = acc.get
+    for key, c in pairs:
+        s = get(key, 0) + c
+        if s:
+            acc[key] = normalize_coeff(s)
+        else:
+            acc.pop(key, None)
+    return acc
 
 
 def coeff_to_str(c: Coeff) -> str:
@@ -139,27 +155,15 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_degree(other)
-        acc = dict(self._terms)
-        for p, c in other._terms.items():
-            s = acc.get(p, 0) + c
-            if s:
-                acc[p] = normalize_coeff(s)
-            else:
-                acc.pop(p, None)
+        acc = _add_into(dict(self._terms), other._terms.items())
         return AlgebraElement._make(self.degree, acc)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_degree(other)
-        acc = dict(self._terms)
-        for p, c in other._terms.items():
-            s = acc.get(p, 0) - c
-            if s:
-                acc[p] = normalize_coeff(s)
-            else:
-                acc.pop(p, None)
-        return AlgebraElement._make(self.degree, acc)
+        negated = ((p, -c) for p, c in other._terms.items())
+        return AlgebraElement._make(self.degree, _add_into(dict(self._terms), negated))
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement._make(self.degree, {p: -c for p, c in self._terms.items()})
@@ -280,13 +284,6 @@ def _mul_full(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._make(f.degree, terms)
 
 
-def linear(a: Coeff, f: AlgebraElement, b: Coeff, g: AlgebraElement) -> AlgebraElement:
-    """a*f + b*g with zero terms pruned."""
-    if f.degree != g.degree:
-        raise ValueError(f"degree mismatch: {f.degree} vs {g.degree}")
-    return f.scale(a) + g.scale(b)
-
-
 def conjugate(d: Permutation, f: AlgebraElement) -> AlgebraElement:
     """d * f * d^{-1}."""
     if d.degree != f.degree:
@@ -301,23 +298,50 @@ def conjugate(d: Permutation, f: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._make(f.degree, terms)
 
 
+def _group_product_sum(
+    entry_sets: Iterable[Collection[int]], n: int, signed: bool
+) -> AlgebraElement:
+    """Sum over the product of the symmetric groups of disjoint entry sets.
+
+    The one enumerator of a Young-subgroup sum: the rows of a tableau give
+    a(T), its columns b(T), a single set symmetrize_set.  With ``signed``
+    the coefficient of each group element is its sign.  Enumerates the
+    product group directly; the sets must be disjoint.
+    """
+    sets = [tuple(sorted(s)) for s in entry_sets if len(s) > 1]
+    base = tuple(range(n))
+    if not sets:
+        return AlgebraElement._make(n, {_intern(base): 1})
+    arrangements = []
+    for s in sets:
+        index = {v: i for i, v in enumerate(s)}
+        opts = []
+        for arr in itertools.permutations(s):
+            if signed:
+                sign = _parity_of_word([index[v] for v in arr])
+            else:
+                sign = 1
+            opts.append((arr, sign))
+        arrangements.append((s, opts))
+    terms: dict[Permutation, Coeff] = {}
+    for combo in itertools.product(*[opts for _, opts in arrangements]):
+        w = list(base)
+        sign = 1
+        for (s, _), (arr, sg) in zip(arrangements, combo):
+            for pos, val in zip(s, arr):
+                w[pos - 1] = val - 1
+            sign *= sg
+        terms[_intern(tuple(w))] = sign
+    return AlgebraElement._make(n, terms)
+
+
 def _set_sum(entries: Iterable[int], n: int, signed: bool) -> AlgebraElement:
     xs = tuple(sorted(entries))
     if any(not (1 <= x <= n) for x in xs):
         raise ValueError(f"entries {list(xs)} not contained in {{1..{n}}}")
     if len(set(xs)) != len(xs):
         raise ValueError(f"repeated entry in {list(xs)}")
-    base = list(range(n))
-    terms: dict[Permutation, Coeff] = {}
-    positions = [x - 1 for x in xs]
-    index = {x: i for i, x in enumerate(xs)}
-    for arr in itertools.permutations(xs):
-        w = base[:]
-        for pos, val in zip(positions, arr):
-            w[pos] = val - 1
-        coeff = _parity_of_word([index[v] for v in arr]) if signed else 1
-        terms[_intern(tuple(w))] = coeff
-    return AlgebraElement._make(n, terms)
+    return _group_product_sum([xs], n, signed)
 
 
 def symmetrize_set(entries: Iterable[int], n: int) -> AlgebraElement:

@@ -131,9 +131,14 @@ def cmd_graph(args: argparse.Namespace) -> int:
     }
     ok = True
     if args.check:
-        counts_ok = not tabloid.has_column_repeat() or tabloid.realize().is_zero()
-        payload["verified"] = counts_ok
-        ok = counts_ok
+        # Round trip: the labels, their multiplicity and the height-2
+        # columns of the tabloid must give back q.
+        edges = tuple(sorted(tuple(sorted(c)) for c in tabloid.columns() if len(c) == 2))
+        rebuilt = (tabloid.n, tabloid.d, edges)
+        round_trip = len(tabloid.rows) <= 2 and rebuilt == (q.n, q.d, q.edges)
+        zero_ok = not tabloid.has_column_repeat() or tabloid.realize().is_zero()
+        ok = round_trip and zero_ok
+        payload["verified"] = ok
     _emit(payload, args.out)
     return 0 if ok else 1
 

@@ -235,11 +235,6 @@ class Permutation:
         return Permutation.from_cycles(cycles, deg)
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """compose(p, q)(i) = p(q(i))."""
-    return p * q
-
-
 def star(p: Permutation, q: Permutation) -> Permutation:
     """Degree-graded concatenation: S_n x S_m -> S_{n+m}.
 

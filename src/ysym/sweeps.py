@@ -42,29 +42,6 @@ from .tensor import (
     symmetrized_membership_certificate,
 )
 
-SUITES = (
-    "idempotence",
-    "garnir",
-    "corner_product",
-    "product_expansion",
-    "congruences",
-    "shuffling",
-    "certificates",
-    "symmetrized",
-)
-
-DEFAULT_MAX_N = {
-    "idempotence": 7,
-    "garnir": 6,
-    "corner_product": 7,
-    "product_expansion": 6,
-    "congruences": 6,
-    "shuffling": 5,
-    "certificates": 5,
-    "symmetrized": 3,
-}
-
-
 @dataclass
 class CaseResult:
     suite: str
@@ -553,29 +530,29 @@ def _dn_fillings(lam: Partition, n: int, d: int) -> Iterable[DnFilling]:
 # -- driver ------------------------------------------------------------------------
 
 
-_SUITE_FUNCS: dict[str, tuple[Callable, Callable]] = {
-    "idempotence": (idempotence_cases, idempotence_case),
-    "garnir": (garnir_cases, garnir_case),
-    "corner_product": (corner_product_cases, corner_product_case),
-    "product_expansion": (product_expansion_cases, product_expansion_case),
-    "congruences": (congruences_cases, congruences_case),
-    "shuffling": (shuffling_cases, shuffling_case),
-    "certificates": (certificates_cases, certificates_case),
-    "symmetrized": (symmetrized_cases, symmetrized_case),
+# name -> (default bound, cases function, case function), in report order
+SUITES: dict[str, tuple[int, Callable[[int], list[tuple]], Callable[[tuple], CaseResult]]] = {
+    "idempotence": (7, idempotence_cases, idempotence_case),
+    "garnir": (6, garnir_cases, garnir_case),
+    "corner_product": (7, corner_product_cases, corner_product_case),
+    "product_expansion": (6, product_expansion_cases, product_expansion_case),
+    "congruences": (6, congruences_cases, congruences_case),
+    "shuffling": (5, shuffling_cases, shuffling_case),
+    "certificates": (5, certificates_cases, certificates_case),
+    "symmetrized": (3, symmetrized_cases, symmetrized_case),
 }
 
 
 def _run_one(packed: tuple) -> CaseResult:
     suite, args = packed
-    return _SUITE_FUNCS[suite][1](args)
+    return SUITES[suite][2](args)
 
 
 def run_suite(name: str, max_n: int | None = None, jobs: int = 1) -> SuiteReport:
-    if name not in _SUITE_FUNCS:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     bound = max_n if max_n is not None else default_max_n(name)
-    cases_fn, _ = _SUITE_FUNCS[name]
-    args_list = cases_fn(bound)
+    args_list = SUITES[name][1](bound)
     report = SuiteReport(name, bound)
     start = time.time()
     if jobs > 1 and len(args_list) > 1:
@@ -615,7 +592,7 @@ def default_max_n(name: str) -> int:
         if bound < 1:
             raise ValueError(f"YSYM_MAX_N must be at least 1, not {bound}")
         return bound
-    return DEFAULT_MAX_N[name]
+    return SUITES[name][0]
 
 
 def run_suites(

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import AlgebraElement, Coeff
-from .perm import Permutation, _intern, _parity_of_word
+from .algebra import AlgebraElement, Coeff, _group_product_sum
+from .perm import Permutation
 from .tableau import (
     BlockDecomposition,
     Partition,
@@ -34,39 +34,6 @@ from .tableau import (
     in_left_set,
     rightmost_corner_outside,
 )
-
-
-def _group_product_sum(cell_sets: Iterable[frozenset[int]], n: int, signed: bool) -> AlgebraElement:
-    """Sum over the product of the symmetric groups of disjoint entry sets.
-
-    With ``signed`` the coefficient of each group element is its sign.
-    Enumerates the product group directly; the sets must be disjoint.
-    """
-    sets = [tuple(sorted(s)) for s in cell_sets if len(s) > 1]
-    base = tuple(range(n))
-    if not sets:
-        return AlgebraElement._make(n, {_intern(base): 1})
-    arrangements = []
-    for s in sets:
-        index = {v: i for i, v in enumerate(s)}
-        opts = []
-        for arr in itertools.permutations(s):
-            if signed:
-                sign = _parity_of_word([index[v] for v in arr])
-            else:
-                sign = 1
-            opts.append((arr, sign))
-        arrangements.append((s, opts))
-    terms: dict[Permutation, Coeff] = {}
-    for combo in itertools.product(*[opts for _, opts in arrangements]):
-        w = list(base)
-        sign = 1
-        for (s, _), (arr, sg) in zip(arrangements, combo):
-            for pos, val in zip(s, arr):
-                w[pos - 1] = val - 1
-            sign *= sg
-        terms[_intern(tuple(w))] = sign
-    return AlgebraElement._make(n, terms)
 
 
 @dataclass(frozen=True)
@@ -90,7 +57,7 @@ class SymmetrizerTriple:
         return self.tableau.shape.hook_product()
 
 
-_SYMMETRIZER_CACHE: dict[tuple[YoungTableau, int], SymmetrizerTriple] = {}
+_SYMMETRIZER_CACHE_SIZE = 4096
 
 
 def young_symmetrizer(T: YoungTableau, degree: int | None = None) -> SymmetrizerTriple:
@@ -98,19 +65,16 @@ def young_symmetrizer(T: YoungTableau, degree: int | None = None) -> Symmetrizer
     n = T.max_entry() if degree is None else degree
     if T.max_entry() > n:
         raise ValueError(f"tableau entries exceed degree {n}")
-    key = (T, n)
-    cached = _SYMMETRIZER_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _build_symmetrizer(T, n)
+
+
+@functools.lru_cache(maxsize=_SYMMETRIZER_CACHE_SIZE)
+def _build_symmetrizer(T: YoungTableau, n: int) -> SymmetrizerTriple:
     rows = [T.row_set(i) for i in range(1, len(T.rows) + 1)]
     cols = [T.column_set(j) for j in range(1, T.shape.part(1) + 1)]
     a_part = _group_product_sum(rows, n, signed=False)
     b_part = _group_product_sum(cols, n, signed=True)
-    triple = SymmetrizerTriple(T, n, a_part, b_part)
-    if len(_SYMMETRIZER_CACHE) > 4096:
-        _SYMMETRIZER_CACHE.clear()
-    _SYMMETRIZER_CACHE[key] = triple
-    return triple
+    return SymmetrizerTriple(T, n, a_part, b_part)
 
 
 def transposition_sum(a: int, entries: Iterable[int], n: int) -> AlgebraElement:
@@ -327,21 +291,14 @@ class CongruenceContext:
         return all((w * d).is_zero() for w in self.chain)
 
 
-_CONTEXT_CACHE: dict[tuple[YoungTableau, YoungTableau, int], CongruenceContext] = {}
+_CONTEXT_CACHE_SIZE = 512
+_cached_context = functools.lru_cache(maxsize=_CONTEXT_CACHE_SIZE)(CongruenceContext)
 
 
 def congruence_context(
     T: YoungTableau, S: YoungTableau, degree: int | None = None
 ) -> CongruenceContext:
-    n = T.max_entry() if degree is None else degree
-    key = (T, S, n)
-    ctx = _CONTEXT_CACHE.get(key)
-    if ctx is None:
-        ctx = CongruenceContext(T, S, n)
-        if len(_CONTEXT_CACHE) > 512:
-            _CONTEXT_CACHE.clear()
-        _CONTEXT_CACHE[key] = ctx
-    return ctx
+    return _cached_context(T, S, T.max_entry() if degree is None else degree)
 
 
 def congruent(

@@ -14,12 +14,21 @@ blocks of size d; its elements are kept as canonical block partitions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import AlgebraElement, Coeff, coeff_from_str, coeff_to_str, normalize_coeff
+from .algebra import (
+    AlgebraElement,
+    Coeff,
+    _add_into,
+    _group_product_sum,
+    coeff_from_str,
+    coeff_to_str,
+    normalize_coeff,
+)
 from .perm import Permutation, _intern, _parity_of_word
 from .perm import star as perm_star
 from .symmetrizer import expand_product, young_symmetrizer
@@ -78,11 +87,6 @@ class TensorElement:
 
     def is_zero(self) -> bool:
         return self.value.is_zero()
-
-
-def concat_mul(x: TensorElement, y: TensorElement) -> TensorElement:
-    """Concatenation product; degrees add."""
-    return x * y
 
 
 # -- tabloids -----------------------------------------------------------------
@@ -154,17 +158,8 @@ def _sort_columns(F: YoungTableau) -> YoungTableau:
 
 def column_group(F: YoungTableau) -> Iterable[tuple[Permutation, int]]:
     """The column-preserving value permutations of F with their signs."""
-    n = max(F.entries)
-    cols = [F.column(j) for j in range(1, F.shape.part(1) + 1)]
-    cols = [c for c in cols if len(c) > 1]
-    pools = [list(itertools.permutations(c)) for c in cols]
-    for combo in itertools.product(*pools) if pools else [()]:
-        w = list(range(n))
-        for col, arr in zip(cols, combo):
-            for src, dst in zip(col, arr):
-                w[src - 1] = dst - 1
-        p = _intern(tuple(w))
-        yield p, p.sign()
+    cols = [F.column_set(j) for j in range(1, F.shape.part(1) + 1)]
+    return _group_product_sum(cols, max(F.entries), signed=True).items()
 
 
 # -- straightening ------------------------------------------------------------
@@ -343,20 +338,10 @@ class Certificate:
                 seen.append(s.generator)
         return seen
 
-    def _grouped(self) -> dict[tuple[YoungTableau, Permutation], AlgebraElement]:
-        grouped: dict[tuple[YoungTableau, Permutation], AlgebraElement] = {}
-        for s in self.summands:
-            key = (s.generator, s.right)
-            if key in grouped:
-                grouped[key] = grouped[key] + s.left
-            else:
-                grouped[key] = s.left
-        return grouped
-
     def verify(self) -> bool:
         lhs = realize_tabloid(self.target).value.scale(self.scale)
         rhs = AlgebraElement.zero(self.degree)
-        for (gen, right), left in self._grouped().items():
+        for (gen, right), left in _merge_summands(self.summands).items():
             piece = star_algebra(realize_tabloid(gen).value, AlgebraElement.from_perm(right))
             rhs = rhs + left * piece
         return lhs == rhs
@@ -374,7 +359,7 @@ class Certificate:
             * target_tab.realization_word()
         ).scale(self.scale)
         rhs = AlgebraElement.zero(self.degree)
-        for (gen, right), left in self._grouped().items():
+        for (gen, right), left in _merge_summands(self.summands).items():
             delta = gen.shape
             c_delta = young_symmetrizer(YoungTableau.canonical(delta), gen.size).c
             rho = Tabloid(gen).realization_word()
@@ -418,19 +403,24 @@ class Certificate:
         )
 
 
-_EXPAND_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...], int], object] = {}
+def _merge_summands(
+    summands: Iterable[Summand],
+) -> dict[tuple[YoungTableau, Permutation], AlgebraElement]:
+    """The summed left factor of each (generator, right) pair, in first-seen order."""
+    merged: dict[tuple[YoungTableau, Permutation], AlgebraElement] = {}
+    for s in summands:
+        key = (s.generator, s.right)
+        merged[key] = merged[key] + s.left if key in merged else s.left
+    return merged
 
 
+_EXPAND_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_EXPAND_CACHE_SIZE)
 def _expand_canonical(lam: Partition, mu: Partition, n: int):
-    key = (lam.parts, mu.parts, n)
-    got = _EXPAND_CACHE.get(key)
-    if got is None:
-        T = YoungTableau.canonical(lam)
-        got = expand_product(T, T.restrict(mu), n)
-        if len(_EXPAND_CACHE) > 1024:
-            _EXPAND_CACHE.clear()
-        _EXPAND_CACHE[key] = got
-    return got
+    T = YoungTableau.canonical(lam)
+    return expand_product(T, T.restrict(mu), n)
 
 
 def membership_certificate(F: YoungTableau, k: int) -> Certificate:
@@ -489,17 +479,10 @@ def _certificate_summands(
             factor = normalize_coeff(Fraction(-1) * m * d / delta.hook_product())
             for s in sub:
                 collected.append(s.scaled(factor))
-    merged: dict[tuple[YoungTableau, Permutation], AlgebraElement] = {}
-    order: list[tuple[YoungTableau, Permutation]] = []
-    for s in collected:
-        key2 = (s.generator, s.right)
-        if key2 in merged:
-            merged[key2] = merged[key2] + s.left
-        else:
-            merged[key2] = s.left
-            order.append(key2)
     result = tuple(
-        Summand(merged[key2], key2[0], key2[1]) for key2 in order if merged[key2]
+        Summand(left, gen, right)
+        for (gen, right), left in _merge_summands(collected).items()
+        if left
     )
     memo[key] = result
     return result
@@ -530,12 +513,7 @@ class SymElement:
             raise ValueError(f"degree {degree} not divisible by block size {d}")
         self.degree = degree
         self.d = d
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                c = normalize_coeff(c)
-                if c:
-                    self.terms[key] = c
+        self.terms = _add_into({}, terms.items()) if terms else {}
 
     @classmethod
     def _make(cls, degree: int, d: int, terms: dict) -> "SymElement":
@@ -563,13 +541,7 @@ class SymElement:
     def __add__(self, other: "SymElement") -> "SymElement":
         if (self.degree, self.d) != (other.degree, other.d):
             raise ValueError("degree/block mismatch")
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            s = acc.get(key, 0) + c
-            if s:
-                acc[key] = normalize_coeff(s)
-            else:
-                acc.pop(key, None)
+        acc = _add_into(dict(self.terms), other.terms.items())
         return SymElement._make(self.degree, self.d, acc)
 
     def __sub__(self, other: "SymElement") -> "SymElement":
@@ -588,35 +560,27 @@ class SymElement:
         if self.d != other.d:
             raise ValueError("block size mismatch")
         shift = self.degree
-        acc: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                shifted = tuple(tuple(v + shift for v in blk) for blk in k2)
-                key = tuple(sorted(k1 + shifted))
-                s = acc.get(key, 0) + c1 * c2
-                if s:
-                    acc[key] = normalize_coeff(s)
-                else:
-                    acc.pop(key, None)
-        return SymElement._make(self.degree + other.degree, self.d, acc)
+        shifted = [
+            (tuple(tuple(v + shift for v in blk) for blk in k2), c2)
+            for k2, c2 in other.terms.items()
+        ]
+        pairs = (
+            (tuple(sorted(k1 + k2)), c1 * c2)
+            for k1, c1 in self.terms.items()
+            for k2, c2 in shifted
+        )
+        return SymElement._make(self.degree + other.degree, self.d, _add_into({}, pairs))
 
     def act(self, f) -> "SymElement":
         """Left action by relabeling letters; no signs are involved."""
         if isinstance(f, Permutation):
             f = AlgebraElement.from_perm(f)
-        acc: dict = {}
-        for p, cp in f.items():
-            pw = p.w
-            for key, c in self.terms.items():
-                moved = tuple(
-                    sorted(tuple(sorted(pw[v - 1] + 1 for v in blk)) for blk in key)
-                )
-                s = acc.get(moved, 0) + cp * c
-                if s:
-                    acc[moved] = normalize_coeff(s)
-                else:
-                    acc.pop(moved, None)
-        return SymElement._make(self.degree, self.d, acc)
+        pairs = (
+            (tuple(sorted(tuple(sorted(p.w[v - 1] + 1 for v in blk)) for blk in key)), cp * c)
+            for p, cp in f.items()
+            for key, c in self.terms.items()
+        )
+        return SymElement._make(self.degree, self.d, _add_into({}, pairs))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -636,15 +600,8 @@ def project_sym(x: TensorElement | AlgebraElement, d: int) -> SymElement:
     value = x.value if isinstance(x, TensorElement) else x
     if value.degree % d:
         raise ValueError(f"degree {value.degree} not divisible by {d}")
-    acc: dict = {}
-    for p, c in value.items():
-        key = _project_word(p.w, d)
-        s = acc.get(key, 0) + c
-        if s:
-            acc[key] = normalize_coeff(s)
-        else:
-            acc.pop(key, None)
-    return SymElement._make(value.degree, d, acc)
+    pairs = ((_project_word(p.w, d), c) for p, c in value.items())
+    return SymElement._make(value.degree, d, _add_into({}, pairs))
 
 
 # -- d-regular fillings and their tabloids ---------------------------------------
@@ -721,34 +678,14 @@ class DnFilling:
     def realize(self) -> SymElement:
         """The symmetrized realization; zero when a column repeats a label.
 
-        Fuses the row-group summation with the block projection so the full
-        bijective realization is never materialized.
+        The projection of a(T) b(T) rho.  Projection commutes with relabeling,
+        proj(p q) = p . proj(q), so b(T) rho is projected first, where its
+        terms merge or cancel, and a(T) then acts on the block partitions
+        left; the bijective realization a(T) b(T) rho is never formed.
         """
-        lifted = self.lift()
-        nd = self.degree
-        T = YoungTableau.canonical(self.shape)
-        triple = young_symmetrizer(T, nd)
-        rho = Tabloid(lifted).realization_word()
-        seed = triple.b_part * rho
-        seed_items = [(q.w, c) for q, c in seed.items()]
-        d = self.d
-        acc: dict = {}
-        for p in triple.a_part.support():
-            getter = p.w.__getitem__
-            for qw, c in seed_items:
-                w = tuple(map(getter, qw))
-                key = tuple(
-                    sorted(
-                        tuple(sorted(v + 1 for v in w[i : i + d]))
-                        for i in range(0, nd, d)
-                    )
-                )
-                s = acc.get(key, 0) + c
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return SymElement._make(nd, d, {k: normalize_coeff(v) for k, v in acc.items() if v})
+        triple = young_symmetrizer(YoungTableau.canonical(self.shape), self.degree)
+        rho = Tabloid(self.lift()).realization_word()
+        return project_sym(triple.b_part * rho, self.d).act(triple.a_part)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -773,10 +710,6 @@ class DnFilling:
             for row in text.strip().split("/")
         ]
         return DnFilling(rows, d)
-
-
-def realize_dn_tabloid(F: DnFilling) -> SymElement:
-    return F.realize()
 
 
 # -- graphs and their covariant tabloids -----------------------------------------

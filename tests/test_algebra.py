@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 
 from ysym.algebra import (
     AlgebraElement,
+    _group_product_sum,
     antisymmetrize_set,
     conjugate,
-    linear,
     random_element,
     symmetrize_set,
 )
@@ -22,13 +22,13 @@ from ysym.tableau import YoungTableau, partitions
 
 def test_linear_cancellation():
     f = AlgebraElement.unit(3)
-    assert linear(1, f, -1, f).is_zero()
+    assert (f.scale(1) + f.scale(-1)).is_zero()
 
 
 def test_linear_merge():
     two = AlgebraElement.unit(2).scale(2)
     three = AlgebraElement.unit(2).scale(3)
-    assert linear(1, two, 1, three) == AlgebraElement.unit(2).scale(5)
+    assert two + three == AlgebraElement.unit(2).scale(5)
 
 
 def test_linear_fraction_merge():
@@ -36,7 +36,7 @@ def test_linear_fraction_merge():
     t = Permutation.transposition(1, 2, 2)
     f = AlgebraElement(2, {e: Fraction(1, 2)})
     g = AlgebraElement(2, {t: Fraction(1, 3)})
-    h = linear(1, f, 1, g)
+    h = f + g
     assert h.coeff(e) == Fraction(1, 2)
     assert h.coeff(t) == Fraction(1, 3)
     assert len(h) == 2
@@ -44,7 +44,7 @@ def test_linear_fraction_merge():
 
 def test_linear_degree_mismatch():
     with pytest.raises(ValueError):
-        linear(1, AlgebraElement.unit(2), 1, AlgebraElement.unit(3))
+        AlgebraElement.unit(2).scale(1) + AlgebraElement.unit(3).scale(1)
 
 
 def test_multiply_by_unit():
@@ -186,6 +186,47 @@ def test_symmetrize_fixes_complement():
     for p in got.support():
         assert p(4) == 4
         assert got.coeff(p) == 1
+
+
+def test_set_sums_reject_bad_entries():
+    for build in (symmetrize_set, antisymmetrize_set):
+        with pytest.raises(ValueError, match="not contained"):
+            build([0, 1], 3)
+        with pytest.raises(ValueError, match="not contained"):
+            build([2, 4], 3)
+        with pytest.raises(ValueError, match="repeated"):
+            build([1, 2, 1], 3)
+
+
+def _brute_group_sum(sets, n, signed):
+    """Oracle: filter S_n for the permutations that map every set onto itself
+    and fix every point outside them."""
+    terms = {}
+    for p in all_permutations(n):
+        if all({p(x) for x in s} == set(s) for s in sets) and all(
+            p(x) == x for x in range(1, n + 1) if not any(x in s for s in sets)
+        ):
+            terms[p] = p.sign() if signed else 1
+    return AlgebraElement(n, terms)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize(
+    "sets",
+    [
+        [],
+        [[4]],
+        [[]],
+        [[2, 5]],
+        [[1], [3, 6]],
+        [[1, 2, 3], [4, 5]],
+        [[6, 1, 4], [2], [5, 3]],
+        [[1, 2], [3, 4], [5, 6]],
+        [[2, 3, 4, 5, 6]],
+    ],
+)
+def test_group_product_sum_matches_brute_filter(sets, signed):
+    assert _group_product_sum(sets, 6, signed) == _brute_group_sum(sets, 6, signed)
 
 
 def test_antisymmetrize_small():

@@ -155,3 +155,21 @@ def test_graph_bad_degree(capsys):
     code, _, err = run(capsys, ["graph", "--graph", "n=2 d=1; 1-2 1-2"])
     assert code == 2
     assert "degree" in err
+
+
+def test_graph_check_verifies_round_trip(capsys):
+    code, out, _ = run(capsys, ["graph", "--graph", "n=3 d=2; 1-2 2-3 3-1", "--check"])
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+
+
+def test_graph_check_rejects_wrong_tabloid(capsys, monkeypatch):
+    from ysym import cli
+    from ysym.tensor import MultiGraph, graph_tabloid
+
+    other = graph_tabloid(MultiGraph.parse("n=3 d=2; 1-2 1-3"))
+    monkeypatch.setattr(cli, "graph_tabloid", lambda q: other)
+    code, out, _ = run(capsys, ["graph", "--graph", "n=3 d=2; 1-2 2-3 3-1", "--check"])
+    assert code == 1
+    assert json.loads(out)["verified"] is False
+

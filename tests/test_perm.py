@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from ysym.perm import Permutation, all_permutations, compose, star
+from ysym.perm import Permutation, all_permutations, star
 
 
 def perm_strategy(n):
@@ -13,20 +13,20 @@ def perm_strategy(n):
 def test_identity_compose():
     e3 = Permutation.identity(3)
     t = Permutation.transposition(1, 2, 3)
-    assert compose(e3, t) == t
-    assert compose(t, e3) == t
+    assert e3 * t == t
+    assert t * e3 == t
 
 
 def test_involution():
     t = Permutation.transposition(1, 2, 2)
-    assert compose(t, t) == Permutation.identity(2)
+    assert t * t == Permutation.identity(2)
 
 
 def test_compose_pointwise():
     # p(q(i)) evaluated by hand: (1 2) after (2 3) maps 1->2, 2->3, 3->1
     p = Permutation.transposition(1, 2, 3)
     q = Permutation.transposition(2, 3, 3)
-    r = compose(p, q)
+    r = p * q
     assert [r(i) for i in (1, 2, 3)] == [2, 3, 1]
     for i in (1, 2, 3):
         assert r(i) == p(q(i))
@@ -34,7 +34,7 @@ def test_compose_pointwise():
 
 def test_compose_degree_mismatch():
     with pytest.raises(ValueError):
-        compose(Permutation.identity(2), Permutation.identity(3))
+        Permutation.identity(2) * Permutation.identity(3)
 
 
 def test_inverse():
@@ -69,9 +69,7 @@ def test_cycle_single_is_transposition():
 
 def test_cycle_matches_transposition_product():
     got = Permutation.cycle(3, [1, 2], 3)
-    want = compose(
-        Permutation.transposition(3, 1, 3), Permutation.transposition(3, 2, 3)
-    )
+    want = Permutation.transposition(3, 1, 3) * Permutation.transposition(3, 2, 3)
     assert got == want
 
 

@@ -1,7 +1,6 @@
 import pytest
 
 from ysym.sweeps import (
-    DEFAULT_MAX_N,
     SUITES,
     default_max_n,
     run_suite,
@@ -10,7 +9,20 @@ from ysym.sweeps import (
 
 
 def test_suite_names_have_defaults():
-    assert set(SUITES) == set(DEFAULT_MAX_N)
+    assert list(SUITES) == [
+        "idempotence",
+        "garnir",
+        "corner_product",
+        "product_expansion",
+        "congruences",
+        "shuffling",
+        "certificates",
+        "symmetrized",
+    ]
+    for name, (bound, cases, case) in SUITES.items():
+        assert bound >= 1
+        assert cases.__name__ == f"{name}_cases" and case.__name__ == f"{name}_case"
+
 
 
 def test_unknown_suite_rejected():

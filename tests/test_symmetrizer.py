@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ysym.algebra import AlgebraElement, random_element
+from ysym.algebra import AlgebraElement, conjugate, random_element
 from ysym.perm import Permutation
 from ysym.symmetrizer import (
     CongruenceContext,
@@ -96,6 +97,33 @@ def test_equivariance_under_relabeling():
             dinv = AlgebraElement.from_perm(delta.inverse())
             assert moved == d * c * dinv
             assert moved == conjugate(delta, c)
+
+
+@st.composite
+def _relabeled_tableau(draw):
+    """A non-canonical tableau over an arbitrary ground set, a degree above
+    its largest entry, and a permutation of that degree."""
+    k = draw(st.integers(1, 5))
+    lam = draw(st.sampled_from(list(partitions(k))))
+    degree = draw(st.integers(k + 1, k + 2))
+    entries = draw(st.permutations(list(range(1, degree))))[:k]
+    values = iter(entries)
+    t = YoungTableau([[next(values) for _ in range(part)] for part in lam])
+    sigma = Permutation(draw(st.permutations(list(range(1, degree + 1)))))
+    return t, degree, sigma
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relabeled_tableau())
+def test_conjugation_equivariance(case):
+    # a, b and c of sigma(T) are the conjugates by sigma of those of T
+    t, degree, sigma = case
+    base = young_symmetrizer(t, degree)
+    moved = young_symmetrizer(t.relabel(sigma), degree)
+    assert moved.a_part == conjugate(sigma, base.a_part)
+    assert moved.b_part == conjugate(sigma, base.b_part)
+    assert moved.c == conjugate(sigma, base.c)
+    assert young_symmetrizer(t) is young_symmetrizer(t, t.max_entry())
 
 
 def test_transposition_sum_values():

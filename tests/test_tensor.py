@@ -315,6 +315,38 @@ def _dn_fillings(lam, n, d):
         yield DnFilling(rows, d)
 
 
+def test_dn_realize_matches_projected_tabloid():
+    # oracle: project the full bijective realization c(T) rho of the lift
+    for d in range(1, 7):
+        for n in range(1, 6 // d + 1):
+            for lam in partitions(d * n):
+                for f in _dn_fillings(lam, n, d):
+                    want = project_sym(Tabloid(f.lift()).realize(), d)
+                    assert f.realize() == want, f
+
+
+def test_dn_realize_display_fillings_vanish():
+    # The full realization of these 12-cell lifts has 2.49M terms, too many
+    # for the oracle above; a label repeated in a column forces zero instead.
+    for text in ("1,2,3,1,3,3/2,4,4/1,2/4", "1,3,4,1,4,4/3,2,2/1,3/2"):
+        f = DnFilling.parse(text, 3)
+        assert f.has_column_repeat()
+        assert f.realize() == SymElement.zero(12, 3)
+
+
+def test_column_group_matches_brute_filter():
+    for text in ("1/2", "3,1/2", "2,5,1/4,3", "4,1,6/2,5/3", "1,2,3"):
+        f = T(text)
+        n = f.size
+        cols = [set(f.column(j)) for j in range(1, f.shape.part(1) + 1)]
+        want = {
+            (p, p.sign())
+            for p in all_permutations(n)
+            if all({p(x) for x in col} == col for col in cols)
+        }
+        assert set(column_group(f)) == want
+
+
 def test_dn_d1_reduces_to_plain_tabloid():
     f1 = DnFilling.parse("1,2/3", 1)
     assert f1.lift() == T("1,2/3")
