@@ -11,6 +11,7 @@ from .algebra import (
     antisymmetrize_set,
     conjugate,
     symmetrize_set,
+    transposition_sum,
 )
 from .perm import Permutation, star
 from .symmetrizer import (
@@ -21,7 +22,6 @@ from .symmetrizer import (
     congruent,
     expand_product,
     garnir_zero,
-    transposition_sum,
     verify_corner_identities,
     young_symmetrizer,
 )

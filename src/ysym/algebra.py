@@ -14,6 +14,7 @@ never touches a Fraction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -21,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Union
 
-from .perm import Permutation, _intern, _parity_of_word, all_permutations
+from .perm import Permutation, _intern, all_permutations
 
 Coeff = Union[int, Fraction]
 
@@ -286,16 +287,18 @@ def _mul_full(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
 
 def conjugate(d: Permutation, f: AlgebraElement) -> AlgebraElement:
     """d * f * d^{-1}."""
-    if d.degree != f.degree:
-        raise ValueError(f"degree mismatch: {d.degree} vs {f.degree}")
-    dinv = d.inverse()
-    dw, diw = d.w, dinv.w
-    terms = {}
-    for p, c in f.items():
-        pw = p.w
-        w = tuple(dw[pw[diw[i]]] for i in range(len(pw)))
-        terms[_intern(w)] = c
-    return AlgebraElement._make(f.degree, terms)
+    return d * f * d.inverse()
+
+
+def transposition_sum(a: int, entries: Iterable[int], n: int) -> AlgebraElement:
+    """Sum of the transpositions (a, b) over the given entries b."""
+    bs = sorted(set(entries))
+    if a in bs:
+        raise ValueError(f"{a} may not appear in its own transposition sum")
+    terms: dict[Permutation, Coeff] = {}
+    for b in bs:
+        terms[Permutation.transposition(a, b, n)] = 1
+    return AlgebraElement._make(n, terms)
 
 
 def _group_product_sum(
@@ -303,36 +306,21 @@ def _group_product_sum(
 ) -> AlgebraElement:
     """Sum over the product of the symmetric groups of disjoint entry sets.
 
-    The one enumerator of a Young-subgroup sum: the rows of a tableau give
+    The one builder of a Young-subgroup sum: the rows of a tableau give
     a(T), its columns b(T), a single set symmetrize_set.  With ``signed``
-    the coefficient of each group element is its sign.  Enumerates the
-    product group directly; the sets must be disjoint.
+    the coefficient of each group element is its sign.  For a set
+    x_1 < ... < x_k the sum is (1 + L_2)...(1 + L_k), signed
+    (1 - L_2)...(1 - L_k), with the Jucys-Murphy element
+    L_j = (x_1 x_j) + ... + (x_{j-1} x_j); the sets must be disjoint.
     """
-    sets = [tuple(sorted(s)) for s in entry_sets if len(s) > 1]
-    base = tuple(range(n))
-    if not sets:
-        return AlgebraElement._make(n, {_intern(base): 1})
-    arrangements = []
-    for s in sets:
-        index = {v: i for i, v in enumerate(s)}
-        opts = []
-        for arr in itertools.permutations(s):
-            if signed:
-                sign = _parity_of_word([index[v] for v in arr])
-            else:
-                sign = 1
-            opts.append((arr, sign))
-        arrangements.append((s, opts))
-    terms: dict[Permutation, Coeff] = {}
-    for combo in itertools.product(*[opts for _, opts in arrangements]):
-        w = list(base)
-        sign = 1
-        for (s, _), (arr, sg) in zip(arrangements, combo):
-            for pos, val in zip(s, arr):
-                w[pos - 1] = val - 1
-            sign *= sg
-        terms[_intern(tuple(w))] = sign
-    return AlgebraElement._make(n, terms)
+    unit = AlgebraElement.unit(n)
+    factors = []
+    for s in entry_sets:
+        xs = sorted(s)
+        for j in range(1, len(xs)):
+            jm = transposition_sum(xs[j], xs[:j], n)
+            factors.append(unit - jm if signed else unit + jm)
+    return functools.reduce(_mul_full, factors, unit)
 
 
 def _set_sum(entries: Iterable[int], n: int, signed: bool) -> AlgebraElement:

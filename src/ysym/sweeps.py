@@ -554,7 +554,7 @@ def run_suite(name: str, max_n: int | None = None, jobs: int = 1) -> SuiteReport
     bound = max_n if max_n is not None else default_max_n(name)
     args_list = SUITES[name][1](bound)
     report = SuiteReport(name, bound)
-    start = time.time()
+    start = time.perf_counter()
     if jobs > 1 and len(args_list) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -578,7 +578,7 @@ def run_suite(name: str, max_n: int | None = None, jobs: int = 1) -> SuiteReport
         report.stats["integral_fraction"] = f"{integral}/{total_integral}"
         report.stats["integral_ratio"] = round(integral / total_integral, 4)
         report.stats["nonintegral_cases"] = nonintegral
-    report.elapsed = time.time() - start
+    report.elapsed = time.perf_counter() - start
     return report
 
 

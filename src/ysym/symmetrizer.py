@@ -19,16 +19,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import AlgebraElement, Coeff, _group_product_sum
+from .algebra import AlgebraElement, Coeff, _group_product_sum, transposition_sum
 from .perm import Permutation
 from .tableau import (
-    BlockDecomposition,
-    Partition,
     YoungTableau,
     blocks_from_column,
     in_left_set,
@@ -75,17 +72,6 @@ def _build_symmetrizer(T: YoungTableau, n: int) -> SymmetrizerTriple:
     a_part = _group_product_sum(rows, n, signed=False)
     b_part = _group_product_sum(cols, n, signed=True)
     return SymmetrizerTriple(T, n, a_part, b_part)
-
-
-def transposition_sum(a: int, entries: Iterable[int], n: int) -> AlgebraElement:
-    """Sum of the transpositions (a, b) over the given entries b."""
-    bs = sorted(set(entries))
-    if a in bs:
-        raise ValueError(f"{a} may not appear in its own transposition sum")
-    terms: dict[Permutation, Coeff] = {}
-    for b in bs:
-        terms[Permutation.transposition(a, b, n)] = 1
-    return AlgebraElement._make(n, terms)
 
 
 @dataclass(frozen=True)
@@ -213,40 +199,6 @@ def garnir_zero(
 # -- congruence machinery ----------------------------------------------------
 
 
-def _reduce_fraction_free(
-    vec: dict[Permutation, int],
-    basis: list[tuple[Permutation, dict[Permutation, int]]],
-) -> dict[Permutation, int]:
-    """Reduce an integer vector against an integer row basis.
-
-    Uses cross-multiplication only, so everything stays in the integers;
-    the content gcd is stripped after each elimination step.
-    """
-    for pivot, row in basis:
-        c = vec.get(pivot)
-        if not c:
-            continue
-        rp = row[pivot]
-        new: dict[Permutation, int] = {}
-        for k, val in vec.items():
-            nv = val * rp - c * row.get(k, 0)
-            if nv:
-                new[k] = nv
-        for k, val in row.items():
-            if k not in vec:
-                nv = -c * val
-                if nv:
-                    new[k] = nv
-        vec = new
-        if vec:
-            g = 0
-            for val in vec.values():
-                g = math.gcd(g, val)
-            if g > 1:
-                vec = {k: val // g for k, val in vec.items()}
-    return vec
-
-
 class CongruenceContext:
     """Decides congruence modulo the right annihilator chain of a * c * X^i.
 
@@ -272,14 +224,19 @@ class CongruenceContext:
         self.x_total = transposition_sum(a, right_entries, n) if right_entries else AlgebraElement.zero(n)
         w = young_symmetrizer(T, n).a_part * young_symmetrizer(S, n).c
         chain: list[AlgebraElement] = []
-        basis: list[tuple[Permutation, dict[Permutation, int]]] = []
+        # Echelon rows, each scaled to coefficient 1 at its pivot, the least
+        # permutation of its support by word.
+        basis: list[tuple[Permutation, AlgebraElement]] = []
         while True:
-            vec = {p: c for p, c in w.items()}
-            reduced = _reduce_fraction_free(vec, basis)
+            reduced = w
+            for pivot, row in basis:
+                c = reduced.coeff(pivot)
+                if c:
+                    reduced = reduced - row.scale(c)
             if not reduced:
                 break
-            pivot = min(reduced, key=lambda p: p.w)
-            basis.append((pivot, reduced))
+            pivot = min(reduced.support(), key=lambda p: p.w)
+            basis.append((pivot, reduced.scale(Fraction(1, reduced.coeff(pivot)))))
             chain.append(w)
             w = w * self.x_total
         self.chain = chain

@@ -95,14 +95,13 @@ class TensorElement:
 class Tabloid:
     """A tabloid: the realization class of a bijective filling by {1..n}."""
 
-    __slots__ = ("filling", "_real")
+    __slots__ = ("filling",)
 
     def __init__(self, filling: YoungTableau):
         n = filling.size
         if filling.entries != frozenset(range(1, n + 1)):
             raise ValueError("tabloid fillings must use exactly {1..n}")
         self.filling = filling
-        self._real: TensorElement | None = None
 
     @property
     def shape(self) -> Partition:
@@ -119,11 +118,9 @@ class Tabloid:
         return Permutation(T.entry(*F.position(i)) for i in range(1, F.size + 1))
 
     def realize(self) -> TensorElement:
-        if self._real is None:
-            T = YoungTableau.canonical(self.shape)
-            c = young_symmetrizer(T, self.degree).c
-            self._real = TensorElement(c * self.realization_word())
-        return self._real
+        T = YoungTableau.canonical(self.shape)
+        c = young_symmetrizer(T, self.degree).c
+        return TensorElement(c * self.realization_word())
 
     def column_canonical(self) -> "YoungTableau":
         """The filling with every column sorted ascending."""
@@ -851,11 +848,7 @@ class DnCertificate:
             if gen_real is None:
                 gen_real = s.generator.realize()
                 gen_cache[s.generator] = gen_real
-            right_sym = SymElement(
-                s.right.degree,
-                d,
-                {_project_word(s.right.w, d): 1},
-            ) if s.right.degree else SymElement(0, d, {(): 1})
+            right_sym = SymElement(s.right.degree, d, {_project_word(s.right.w, d): 1})
             rhs = rhs + gen_real.star(right_sym).act(s.left)
         return lhs == rhs
 

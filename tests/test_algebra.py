@@ -229,6 +229,18 @@ def test_group_product_sum_matches_brute_filter(sets, signed):
     assert _group_product_sum(sets, 6, signed) == _brute_group_sum(sets, 6, signed)
 
 
+@pytest.mark.parametrize("n", list(range(1, 7)))
+def test_symmetrizer_parts_match_brute_filter(n):
+    for lam in partitions(n):
+        t = YoungTableau.canonical(lam)
+        rows = [t.row_set(i) for i in range(1, len(t.rows) + 1)]
+        cols = [t.column_set(j) for j in range(1, lam.part(1) + 1)]
+        for degree in (n, n + 1):
+            triple = young_symmetrizer(t, degree)
+            assert triple.a_part == _brute_group_sum(rows, degree, False)
+            assert triple.b_part == _brute_group_sum(cols, degree, True)
+
+
 def test_antisymmetrize_small():
     assert antisymmetrize_set([1], 3) == AlgebraElement.unit(3)
     got = antisymmetrize_set([1, 2], 2)
@@ -314,6 +326,11 @@ def test_conjugate_matches_products():
         d = AlgebraElement.from_perm(delta)
         dinv = AlgebraElement.from_perm(delta.inverse())
         assert conjugate(delta, f) == d * f * dinv
+
+
+def test_conjugate_degree_mismatch():
+    with pytest.raises(ValueError, match="degree mismatch"):
+        conjugate(Permutation.identity(3), AlgebraElement.unit(4))
 
 
 def test_json_round_trip_exact():

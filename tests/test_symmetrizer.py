@@ -126,6 +126,15 @@ def test_conjugation_equivariance(case):
     assert young_symmetrizer(t) is young_symmetrizer(t, t.max_entry())
 
 
+def test_symmetrizer_degree_limit():
+    with pytest.raises(ValueError, match="exceeds 256"):
+        young_symmetrizer(T("1,2"), 257)
+    with pytest.raises(ValueError, match="exceeds 256"):
+        young_symmetrizer(T("1/2"), 257)
+    single = young_symmetrizer(T("1"), 257)
+    assert single.a_part == single.b_part == AlgebraElement.unit(257)
+
+
 def test_transposition_sum_values():
     assert transposition_sum(3, [], 5).is_zero()
     x = transposition_sum(9, [2, 3, 6, 7], 9)
@@ -349,6 +358,33 @@ def test_congruence_respects_right_multiplication():
         # left multiplication by powers of the column sum also preserves it
         x_total = ctx.x_total
         assert ctx.congruent(x_total * f, x_total * g)
+
+
+# Length of the power chain a(T)c(S)X^i of each one-corner pair, keyed by
+# the shape of T and the added cell.
+CHAIN_LENGTHS = {
+    ((2,), (1, 2)): 1, ((1, 1), (2, 1)): 2,
+    ((3,), (1, 3)): 1, ((2, 1), (1, 2)): 1, ((2, 1), (2, 1)): 2, ((1, 1, 1), (3, 1)): 2,
+    ((4,), (1, 4)): 1, ((3, 1), (1, 3)): 1, ((3, 1), (2, 1)): 2, ((2, 2), (2, 2)): 2,
+    ((2, 1, 1), (1, 2)): 1, ((2, 1, 1), (3, 1)): 3, ((1, 1, 1, 1), (4, 1)): 2,
+    ((5,), (1, 5)): 1, ((4, 1), (1, 4)): 1, ((4, 1), (2, 1)): 2, ((3, 2), (1, 3)): 1,
+    ((3, 2), (2, 2)): 2, ((3, 1, 1), (1, 3)): 1, ((3, 1, 1), (3, 1)): 3,
+    ((2, 2, 1), (2, 2)): 2, ((2, 2, 1), (3, 1)): 2, ((2, 1, 1, 1), (1, 2)): 1,
+    ((2, 1, 1, 1), (4, 1)): 3, ((1, 1, 1, 1, 1), (5, 1)): 2,
+    ((6,), (1, 6)): 1, ((5, 1), (1, 5)): 1, ((5, 1), (2, 1)): 2, ((4, 2), (1, 4)): 1,
+    ((4, 2), (2, 2)): 2, ((4, 1, 1), (1, 4)): 1, ((4, 1, 1), (3, 1)): 3,
+    ((3, 3), (2, 3)): 2, ((3, 2, 1), (1, 3)): 1, ((3, 2, 1), (2, 2)): 2,
+    ((3, 2, 1), (3, 1)): 3, ((3, 1, 1, 1), (1, 3)): 1, ((3, 1, 1, 1), (4, 1)): 3,
+    ((2, 2, 2), (3, 2)): 2, ((2, 2, 1, 1), (2, 2)): 2, ((2, 2, 1, 1), (4, 1)): 3,
+    ((2, 1, 1, 1, 1), (1, 2)): 1, ((2, 1, 1, 1, 1), (5, 1)): 3,
+    ((1, 1, 1, 1, 1, 1), (6, 1)): 2,
+}
+
+
+def test_congruence_chain_lengths():
+    got = {(t.shape.parts, corner): len(congruence_context(t, s).chain)
+           for t, s, corner in corner_cases(6)}
+    assert got == CHAIN_LENGTHS
 
 
 def test_congruent_v_argument_checked():
