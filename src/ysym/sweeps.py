@@ -328,12 +328,7 @@ def _all_subsets(items) -> list[tuple]:
 def _random_filling(lam: Partition, rng: random.Random) -> YoungTableau:
     vals = list(range(1, lam.n + 1))
     rng.shuffle(vals)
-    rows = []
-    idx = 0
-    for p in lam.parts:
-        rows.append(vals[idx : idx + p])
-        idx += p
-    return YoungTableau(rows)
+    return YoungTableau(lam.fill(vals))
 
 
 # -- membership certificates ---------------------------------------------------------
@@ -519,12 +514,7 @@ def _dn_fillings(lam: Partition, n: int, d: int) -> Iterable[DnFilling]:
         if arr in seen:
             continue
         seen.add(arr)
-        rows = []
-        idx = 0
-        for p in lam.parts:
-            rows.append(arr[idx : idx + p])
-            idx += p
-        yield DnFilling(rows, d)
+        yield DnFilling(lam.fill(arr), d)
 
 
 # -- driver ------------------------------------------------------------------------

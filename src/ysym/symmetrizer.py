@@ -281,7 +281,6 @@ class CheckResult:
     shape: str
     subshape: str
     ok: bool
-    residual: AlgebraElement | None = None
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -300,20 +299,6 @@ class IdentityReport:
 
     def lines(self) -> list[str]:
         return [r.line() for r in self.results]
-
-    def to_json(self) -> dict:
-        out = {
-            "shape": self.shape,
-            "subshape": self.subshape,
-            "ok": self.ok,
-            "checks": [],
-        }
-        for r in self.results:
-            entry: dict = {"id": r.check_id, "ok": r.ok}
-            if not r.ok and r.residual is not None:
-                entry["residual"] = r.residual.to_json()
-            out["checks"].append(entry)
-        return out
 
 
 def verify_corner_identities(
@@ -343,10 +328,8 @@ def verify_corner_identities(
         return transposition_sum(a, S.column_set(j), n)
 
     def add(check_id: str, residuals: Iterable[AlgebraElement]) -> None:
-        bad = next((r for r in residuals if not r.is_zero()), None)
-        report.results.append(
-            CheckResult(check_id, str(T.shape), str(mu), bad is None, bad)
-        )
+        ok = all(r.is_zero() for r in residuals)
+        report.results.append(CheckResult(check_id, str(T.shape), str(mu), ok))
 
     # column products: z_i z_j collapses onto z_i, z_i^2 is affine in z_i
     def column_product_residuals():

@@ -77,6 +77,14 @@ class Partition:
         """True iff the other diagram fits inside this one rowwise."""
         return all(other.part(i) <= self.part(i) for i in range(1, len(other) + 1))
 
+    def fill(self, values: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+        """The rows of this diagram holding the values in row reading order."""
+        vals = tuple(values)
+        if len(vals) != self.n:
+            raise ValueError(f"{len(vals)} values for a diagram of {self.n} cells")
+        it = iter(vals)
+        return tuple(tuple(itertools.islice(it, p)) for p in self.parts)
+
     def cells(self) -> Iterator[tuple[int, int]]:
         for i, p in enumerate(self.parts, start=1):
             for j in range(1, p + 1):
@@ -177,12 +185,7 @@ class YoungTableau:
     @staticmethod
     def canonical(shape: Partition) -> "YoungTableau":
         """Row-major filling by 1..n."""
-        rows = []
-        nxt = 1
-        for p in shape.parts:
-            rows.append(tuple(range(nxt, nxt + p)))
-            nxt += p
-        return YoungTableau(rows)
+        return YoungTableau(shape.fill(range(1, shape.n + 1)))
 
     @staticmethod
     def parse(text: str) -> "YoungTableau":
@@ -394,13 +397,5 @@ def rightmost_corner_outside(T: YoungTableau, S: YoungTableau) -> tuple[int, int
 
 def subtableau_fillings(shape: Partition, entries: Iterable[int]) -> Iterator[YoungTableau]:
     """All bijective fillings of a shape by the given entries."""
-    es = sorted(entries)
-    if len(es) != shape.n:
-        raise ValueError("entry count does not match shape size")
-    for arr in itertools.permutations(es):
-        rows = []
-        idx = 0
-        for p in shape.parts:
-            rows.append(arr[idx : idx + p])
-            idx += p
-        yield YoungTableau(rows)
+    for arr in itertools.permutations(sorted(entries)):
+        yield YoungTableau(shape.fill(arr))

@@ -4,9 +4,9 @@ Everything is computed in one canonical realization: the degree-n component
 is the group algebra of S_n, a basis word being the tensor monomial whose
 i-th slot holds the letter word[i].  The degree-graded product is the star
 (concatenation) product.  A tabloid built from a filling F of a diagram by
-{1..n} is realized as c(T) * rho, where T is the canonical tableau of the
-shape and rho the permutation sending i to the T-entry at the cell F puts
-i in.
+{1..n} is realized as c(T) * rho_F, where T is the canonical tableau of the
+shape and rho_F the inverse of F's row reading word: it sends i to the
+reading position of the cell F puts i in, which is T's entry there.
 
 The partially symmetrized algebra identifies letters inside consecutive
 blocks of size d; its elements are kept as canonical block partitions.
@@ -103,41 +103,23 @@ class Tabloid:
             raise ValueError("tabloid fillings must use exactly {1..n}")
         self.filling = filling
 
-    @property
-    def shape(self) -> Partition:
-        return self.filling.shape
-
-    @property
-    def degree(self) -> int:
-        return self.filling.size
-
     def realization_word(self) -> Permutation:
-        """The permutation sending i to the canonical-tableau entry at F's cell of i."""
-        T = YoungTableau.canonical(self.shape)
-        F = self.filling
-        return Permutation(T.entry(*F.position(i)) for i in range(1, F.size + 1))
+        """rho_F: the permutation sending i to the reading position of F's cell of i."""
+        return _reading_word(self.filling).inverse()
 
     def realize(self) -> TensorElement:
-        T = YoungTableau.canonical(self.shape)
-        c = young_symmetrizer(T, self.degree).c
+        F = self.filling
+        c = young_symmetrizer(YoungTableau.canonical(F.shape), F.size).c
         return TensorElement(c * self.realization_word())
-
-    def column_canonical(self) -> "YoungTableau":
-        """The filling with every column sorted ascending."""
-        return _sort_columns(self.filling)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Tabloid) and self.filling == other.filling
-
-    def __hash__(self) -> int:
-        return hash(self.filling)
-
-    def __repr__(self) -> str:
-        return f"Tabloid({self.filling})"
 
 
 def realize_tabloid(filling: YoungTableau) -> TensorElement:
     return Tabloid(filling).realize()
+
+
+def _reading_word(F: YoungTableau) -> Permutation:
+    """The entries of a filling by {1..n}, read row by row, as a permutation."""
+    return Permutation(e for row in F.rows for e in row)
 
 
 def _columns_to_rows(columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -146,11 +128,6 @@ def _columns_to_rows(columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
     for i in range(height):
         rows.append(tuple(c[i] for c in columns if len(c) > i))
     return tuple(rows)
-
-
-def _sort_columns(F: YoungTableau) -> YoungTableau:
-    cols = [sorted(F.column(j)) for j in range(1, F.shape.part(1) + 1)]
-    return YoungTableau(_columns_to_rows(cols))
 
 
 def column_group(F: YoungTableau) -> Iterable[tuple[Permutation, int]]:
@@ -248,11 +225,18 @@ class Summand:
     """One term of a certificate: left * (realize(generator) star right)."""
 
     left: AlgebraElement
-    generator: YoungTableau
+    generator: YoungTableau | DnFilling
     right: Permutation
 
     def scaled(self, c: Coeff) -> "Summand":
         return Summand(self.left.scale(c), self.generator, self.right)
+
+    def to_json(self) -> dict:
+        return {
+            "left": self.left.to_json(),
+            "generator": str(self.generator),
+            "right": list(self.right.word),
+        }
 
 
 def _split_shape(F: YoungTableau, k: int) -> Partition:
@@ -287,35 +271,24 @@ def _split_shape(F: YoungTableau, k: int) -> Partition:
     return mu
 
 
-def _twist_filling(F: YoungTableau, T: YoungTableau, sigma: Permutation) -> YoungTableau:
-    """The filling whose realization is c(T) * sigma * rho_F."""
-    sigma_inv = sigma.inverse()
-    rows = []
-    for i, row in enumerate(T.rows, start=1):
-        out = []
-        for j, tval in enumerate(row, start=1):
-            y = T.position(sigma_inv(tval))
-            out.append(F.entry(*y))
-        rows.append(tuple(out))
-    return YoungTableau(rows)
+def _twist_filling(F: YoungTableau, sigma: Permutation) -> YoungTableau:
+    """The filling whose realization is c(T) * sigma * rho_F, T canonical.
+
+    Its reading word is F's reading word times sigma^-1, so its
+    realization word is sigma * rho_F.
+    """
+    return YoungTableau(F.shape.fill((_reading_word(F) * sigma.inverse()).word))
 
 
-def _left_anchor(F: YoungTableau, k: int, mu: Partition) -> Permutation:
+def _left_anchor(F: YoungTableau, mu: Partition) -> Permutation:
     """The permutation aligning the canonical split realization with F's.
 
-    Sends i <= k to the canonical-tableau entry at the cell the canonical
-    mu-tableau gives i, and k+j to the canonical-tableau entry at F's cell
-    of k+j.
+    The realization word of F with its mu cells, which hold 1..|mu|,
+    refilled by the canonical mu-tableau.
     """
-    n = F.size
-    T = YoungTableau.canonical(F.shape)
-    Tmu = YoungTableau.canonical(mu)
-    word = []
-    for i in range(1, k + 1):
-        word.append(T.entry(*Tmu.position(i)))
-    for j in range(k + 1, n + 1):
-        word.append(T.entry(*F.position(j)))
-    return Permutation(word)
+    head = mu.fill(range(1, mu.n + 1))
+    rows = (h + row[len(h) :] for h, row in itertools.zip_longest(head, F.rows, fillvalue=()))
+    return _reading_word(YoungTableau(rows)).inverse()
 
 
 @dataclass
@@ -371,14 +344,7 @@ class Certificate:
             "cutoff": self.cutoff,
             "scale": coeff_to_str(self.scale),
             "target": str(self.target),
-            "summands": [
-                {
-                    "left": s.left.to_json(),
-                    "generator": str(s.generator),
-                    "right": list(s.right.word),
-                }
-                for s in self.summands
-            ],
+            "summands": [s.to_json() for s in self.summands],
         }
 
     @staticmethod
@@ -463,13 +429,13 @@ def _certificate_summands(
         memo[key] = result
         return result
     cT = young_symmetrizer(T, n).c
-    anchor = _left_anchor(F, k, mu)
+    anchor = _left_anchor(F, mu)
     collected: list[Summand] = [Summand(cT * anchor, gen0, Permutation.identity(n - k))]
     expansion = _expand_canonical(lam, mu, n)
     for sigma, m in expansion.element.items():
         if sigma.is_identity():
             continue
-        G = _twist_filling(F, T, sigma)
+        G = _twist_filling(F, sigma)
         for d, H in straighten(G, k):
             delta = _split_shape(H, k)
             sub = _certificate_summands(H, k, memo)
@@ -660,17 +626,12 @@ class DnFilling:
 
         Cells of each fiber are numbered in reading order.
         """
-        assign: dict[tuple[int, int], int] = {}
-        counters = {i: 0 for i in range(1, self.n + 1)}
-        for i, row in enumerate(self.rows, start=1):
-            for j, e in enumerate(row, start=1):
-                counters[e] += 1
-                assign[(i, j)] = self.d * (e - 1) + counters[e]
-        rows = tuple(
-            tuple(assign[(i, j)] for j in range(1, len(row) + 1))
-            for i, row in enumerate(self.rows, start=1)
-        )
-        return YoungTableau(rows)
+        seen = [0] * (self.n + 1)
+        word = []
+        for e in itertools.chain.from_iterable(self.rows):
+            seen[e] += 1
+            word.append(self.d * (e - 1) + seen[e])
+        return YoungTableau(self.shape.fill(word))
 
     def realize(self) -> SymElement:
         """The symmetrized realization; zero when a column repeats a label.
@@ -818,13 +779,6 @@ def graphs_containing(
 # -- certificates in the symmetrized algebra -------------------------------------
 
 
-@dataclass(frozen=True)
-class DnSummand:
-    left: AlgebraElement
-    generator: DnFilling
-    right: Permutation
-
-
 @dataclass
 class DnCertificate:
     """A membership certificate pushed through the block projection."""
@@ -834,7 +788,7 @@ class DnCertificate:
     cutoff: int
     scale: Coeff
     target: DnFilling
-    summands: tuple[DnSummand, ...]
+    summands: tuple[Summand, ...]
     lifted: Certificate
 
     def verify(self) -> bool:
@@ -848,7 +802,7 @@ class DnCertificate:
             if gen_real is None:
                 gen_real = s.generator.realize()
                 gen_cache[s.generator] = gen_real
-            right_sym = SymElement(s.right.degree, d, {_project_word(s.right.w, d): 1})
+            right_sym = project_sym(AlgebraElement.from_perm(s.right), d)
             rhs = rhs + gen_real.star(right_sym).act(s.left)
         return lhs == rhs
 
@@ -859,14 +813,7 @@ class DnCertificate:
             "cutoff": self.cutoff,
             "scale": coeff_to_str(self.scale),
             "target": str(self.target),
-            "summands": [
-                {
-                    "left": s.left.to_json(),
-                    "generator": str(s.generator),
-                    "right": list(s.right.word),
-                }
-                for s in self.summands
-            ],
+            "summands": [s.to_json() for s in self.summands],
         }
 
 
@@ -888,7 +835,7 @@ def symmetrized_membership_certificate(F: DnFilling, k: int) -> DnCertificate:
     lifted = F.lift()
     base = membership_certificate(lifted, k * F.d)
     summands = tuple(
-        DnSummand(s.left, _push_filling(s.generator, F.d), s.right)
+        Summand(s.left, _push_filling(s.generator, F.d), s.right)
         for s in base.summands
     )
     return DnCertificate(F.degree, F.d, k, base.scale, F, summands, base)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ysym.perm import Permutation, all_permutations
@@ -106,6 +108,30 @@ def test_tableau_rejects_bad_fills():
 def test_canonical_tableau():
     t = YoungTableau.canonical(P("4,3,1,1"))
     assert str(t) == "1,2,3,4/5,6,7/8/9"
+
+
+def test_fill_gives_canonical_rows():
+    assert P("4,3,1,1").fill(range(1, 10)) == ((1, 2, 3, 4), (5, 6, 7), (8,), (9,))
+    assert P("3,3").fill(range(1, 7)) == ((1, 2, 3), (4, 5, 6))
+    assert P("").fill([]) == ()
+
+
+def test_fill_round_trips_reading_word():
+    for n in range(0, 6):
+        for lam in partitions(n):
+            for word in itertools.permutations(range(1, n + 1)):
+                rows = lam.fill(word)
+                assert tuple(len(row) for row in rows) == lam.parts
+                assert tuple(e for row in rows for e in row) == word
+
+
+def test_fill_rejects_wrong_count():
+    with pytest.raises(ValueError):
+        P("2,1").fill([1, 2])
+    with pytest.raises(ValueError):
+        P("2,1").fill([1, 2, 3, 4])
+    with pytest.raises(ValueError):
+        P("").fill([1])
 
 
 def test_restriction_keeps_labels():

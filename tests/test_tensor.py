@@ -5,6 +5,7 @@ import pytest
 
 from ysym.algebra import AlgebraElement
 from ysym.perm import Permutation, all_permutations, star
+from ysym.symmetrizer import young_symmetrizer
 from ysym.tableau import Partition, YoungTableau, partitions, subtableau_fillings
 from ysym.tensor import (
     Certificate,
@@ -13,6 +14,9 @@ from ysym.tensor import (
     SymElement,
     Tabloid,
     TensorElement,
+    _left_anchor,
+    _split_shape,
+    _twist_filling,
     column_group,
     graph_tabloid,
     graphs_containing,
@@ -227,6 +231,59 @@ def test_certificate_json_round_trip():
     assert back.to_json() == data
 
 
+def test_realization_word_is_inverse_reading_word():
+    # reference: i goes to the canonical-tableau entry at F's cell of i
+    for n in range(1, 7):
+        for lam in partitions(n):
+            t = YoungTableau.canonical(lam)
+            for f in all_fillings(lam):
+                want = Permutation(t.entry(*f.position(i)) for i in range(1, n + 1))
+                assert Tabloid(f).realization_word() == want, f
+
+
+def _check_twist(f, sigma):
+    c = young_symmetrizer(YoungTableau.canonical(f.shape), f.size).c
+    rho = Tabloid(f).realization_word()
+    assert realize_tabloid(_twist_filling(f, sigma)).value == c * sigma * rho, (f, sigma)
+
+
+def test_twist_filling_realizes_twisted_product():
+    for n in range(1, 5):
+        for lam in partitions(n):
+            for f in all_fillings(lam):
+                for sigma in all_permutations(n):
+                    _check_twist(f, sigma)
+    rng = random.Random(7)
+    for n in (5, 6):
+        for lam in partitions(n):
+            for _ in range(3):
+                vals, word = list(range(1, n + 1)), list(range(1, n + 1))
+                rng.shuffle(vals)
+                rng.shuffle(word)
+                _check_twist(YoungTableau(lam.fill(vals)), Permutation(word))
+
+
+def test_left_anchor_matches_cellwise_formula():
+    # reference: i <= k goes to the canonical-tableau entry at the cell the
+    # canonical mu-tableau gives i, k+j to the one at F's cell of k+j
+    count = 0
+    for n in range(1, 7):
+        for lam in partitions(n):
+            t = YoungTableau.canonical(lam)
+            for f in all_fillings(lam):
+                for k in range(1, n + 1):
+                    try:
+                        mu = _split_shape(f, k)
+                    except ValueError:
+                        continue
+                    tmu = YoungTableau.canonical(mu)
+                    want = [t.entry(*tmu.position(i)) for i in range(1, k + 1)]
+                    want += [t.entry(*f.position(j)) for j in range(k + 1, n + 1)]
+                    assert _left_anchor(f, mu) == Permutation(want), (f, k)
+                    count += 1
+    assert count == 16367
+
+
 def test_project_sym_block_collapse():
     x = TensorElement.monomial([1, 2, 3, 4, 5, 6])
     got = project_sym(x, 3)
@@ -307,12 +364,7 @@ def _dn_fillings(lam, n, d):
     for i in range(1, n + 1):
         values.extend([i] * d)
     for arr in set(itertools.permutations(values)):
-        rows = []
-        idx = 0
-        for p in lam.parts:
-            rows.append(arr[idx : idx + p])
-            idx += p
-        yield DnFilling(rows, d)
+        yield DnFilling(lam.fill(arr), d)
 
 
 def test_dn_realize_matches_projected_tabloid():
