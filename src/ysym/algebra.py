@@ -301,6 +301,22 @@ def transposition_sum(a: int, entries: Iterable[int], n: int) -> AlgebraElement:
     return AlgebraElement._make(n, terms)
 
 
+def _jucys_murphy_factors(
+    entry_sets: Iterable[Collection[int]],
+) -> list[tuple[int, list[int]]]:
+    """The pairs (x_j, [x_1..x_{j-1}]) of each set x_1 < ... < x_k, j = 2..k.
+
+    In product order: a Young-subgroup sum is the product, left to right,
+    of the factors 1 + L (signed, 1 - L) with L the sum of the
+    transpositions (x_j y) over the listed y.
+    """
+    factors = []
+    for s in entry_sets:
+        xs = sorted(s)
+        factors.extend((xs[j], xs[:j]) for j in range(1, len(xs)))
+    return factors
+
+
 def _group_product_sum(
     entry_sets: Iterable[Collection[int]], n: int, signed: bool
 ) -> AlgebraElement:
@@ -315,11 +331,9 @@ def _group_product_sum(
     """
     unit = AlgebraElement.unit(n)
     factors = []
-    for s in entry_sets:
-        xs = sorted(s)
-        for j in range(1, len(xs)):
-            jm = transposition_sum(xs[j], xs[:j], n)
-            factors.append(unit - jm if signed else unit + jm)
+    for x, below in _jucys_murphy_factors(entry_sets):
+        jm = transposition_sum(x, below, n)
+        factors.append(unit - jm if signed else unit + jm)
     return functools.reduce(_mul_full, factors, unit)
 
 

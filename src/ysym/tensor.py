@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .algebra import (
     AlgebraElement,
     Coeff,
     _add_into,
     _group_product_sum,
+    _jucys_murphy_factors,
     coeff_from_str,
     coeff_to_str,
     normalize_coeff,
@@ -454,11 +456,59 @@ def _certificate_summands(
 # -- partial symmetrization -----------------------------------------------------
 
 
+# Byte translation table taking each 0-based letter v to the 1-based v + 1.
+_SHIFT_UP = bytes(range(1, 256)) + b"\0"
+
+
 def _project_word(w: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical block partition of a 0-based word: sorted blocks of size d."""
-    return tuple(
-        sorted(tuple(sorted(v + 1 for v in w[i : i + d])) for i in range(0, len(w), d))
-    )
+    """Canonical block partition of a 0-based word: sorted blocks of size d.
+
+    The length of w must be a multiple of d, and at most 255 so that every
+    shifted letter fits in a byte.
+    """
+    if len(w) > 255:
+        raise ValueError(f"degree {len(w)} exceeds 255, the largest a byte-word projection holds")
+    letters = bytes(w).translate(_SHIFT_UP)
+    return tuple(sorted(map(tuple, map(sorted, zip(*[iter(letters)] * d)))))
+
+
+def _act_group_sum(
+    x: "SymElement", entry_sets: Iterable[Collection[int]], signed: bool
+) -> "SymElement":
+    """A Young-subgroup sum acting on x by relabeling, never expanded.
+
+    Equals ``x.act(_group_product_sum(entry_sets, x.degree, signed))``: the
+    Jucys-Murphy factors of that product act one at a time, the last
+    first.  A factor 1 + L (signed, 1 - L) sends a block partition to
+    itself plus (minus) its image under each transposition (x_j y) of L,
+    which moves two letters between at most two blocks, so only those two
+    are rebuilt and every intermediate stays a sparse sum of block
+    partitions.
+    """
+    sign = -1 if signed else 1
+    terms = x.terms
+    # letter -> block index of each key met, shared by all the factors
+    located: dict[tuple, dict[int, int]] = {}
+    for xj, below in reversed(_jucys_murphy_factors(entry_sets)):
+        pairs = []
+        for key, c in terms.items():
+            where = located.get(key)
+            if where is None:
+                where = located[key] = {v: i for i, blk in enumerate(key) for v in blk}
+            i = where[xj]
+            sc = sign * c
+            for y in below:
+                k = where[y]
+                if k == i:
+                    pairs.append((key, sc))
+                    continue
+                blocks = list(key)
+                blocks[i] = tuple(sorted([y if v == xj else v for v in key[i]]))
+                blocks[k] = tuple(sorted([xj if v == y else v for v in key[k]]))
+                blocks.sort()
+                pairs.append((tuple(blocks), sc))
+        terms = _add_into(dict(terms), pairs)
+    return SymElement._make(x.degree, x.d, terms)
 
 
 class SymElement:
@@ -636,14 +686,20 @@ class DnFilling:
     def realize(self) -> SymElement:
         """The symmetrized realization; zero when a column repeats a label.
 
-        The projection of a(T) b(T) rho.  Projection commutes with relabeling,
-        proj(p q) = p . proj(q), so b(T) rho is projected first, where its
-        terms merge or cancel, and a(T) then acts on the block partitions
-        left; the bijective realization a(T) b(T) rho is never formed.
+        The projection of a(T) b(T) rho, T the canonical tableau of the
+        shape and rho the realization word of the lift.  Projection commutes
+        with relabeling, proj(p q) = p . proj(q), so the realization starts
+        from the single block partition proj(rho), and the Jucys-Murphy
+        factors of b(T), then of a(T), act on it one at a time.  Neither
+        a(T), b(T) nor any product with rho is formed, and no intermediate
+        has more terms than there are block partitions of {1..degree}.
         """
-        triple = young_symmetrizer(YoungTableau.canonical(self.shape), self.degree)
+        T = YoungTableau.canonical(self.shape)
         rho = Tabloid(self.lift()).realization_word()
-        return project_sym(triple.b_part * rho, self.d).act(triple.a_part)
+        x = SymElement._make(self.degree, self.d, {_project_word(rho.w, self.d): 1})
+        cols = [T.column(j) for j in range(1, self.shape.part(1) + 1)]
+        x = _act_group_sum(x, cols, signed=True)
+        return _act_group_sum(x, T.rows, signed=False)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -824,14 +880,29 @@ def _push_filling(gen: YoungTableau, d: int) -> DnFilling:
     )
 
 
+# The largest |R(lambda)| * |C(lambda)| whose lifted certificate is built.
+# The lift lives in degree d*n, where certifying works with c(T) and its
+# products, up to that many terms each; the 12-cell display filling
+# 1,1,1,2,3,4,4/2,2,3,3,4 (19,353,600 pairs) ran out of memory at 1.4 GB.
+_LIFTED_CERTIFICATE_BUDGET = math.factorial(8)
+
+
 def symmetrized_membership_certificate(F: DnFilling, k: int) -> DnCertificate:
     """Certificate for a d-regular tabloid: lift, certify, project.
 
     Requires the cells labeled 1..k to fill a subdiagram.  Generators are
-    d-regular fillings on the labels 1..k.
+    d-regular fillings on the labels 1..k.  A shape with more than
+    _LIFTED_CERTIFICATE_BUDGET row-by-column group pairs is refused with
+    ``ValueError`` before anything is lifted.
     """
     if not (1 <= k <= F.n):
         raise ValueError(f"cutoff {k} out of range 1..{F.n}")
+    pairs = F.shape.factorial() * F.shape.conjugate().factorial()
+    if pairs > _LIFTED_CERTIFICATE_BUDGET:
+        raise ValueError(
+            f"shape {F.shape} has |R|*|C| = {pairs} group pairs, above the lifted "
+            f"certificate budget of {_LIFTED_CERTIFICATE_BUDGET}"
+        )
     lifted = F.lift()
     base = membership_certificate(lifted, k * F.d)
     summands = tuple(

@@ -133,6 +133,16 @@ def test_certificate_symmetrized(capsys):
     assert data["d"] == 2
 
 
+def test_certificate_symmetrized_over_budget(capsys):
+    code, out, err = run(
+        capsys,
+        ["certificate", "--filling", "1,1,1,2,3,4,4/2,2,3,3,4", "--k", "2", "--d", "3"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+
+
 def test_graph_command(capsys, tmp_path):
     gfile = tmp_path / "g.txt"
     gfile.write_text("n=4 d=3; 1-2 1-2 1-3 2-3 3-4\n")

@@ -2,10 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ysym.algebra import AlgebraElement
+from ysym.algebra import AlgebraElement, _group_product_sum
 from ysym.perm import Permutation, all_permutations, star
-from ysym.symmetrizer import young_symmetrizer
+from ysym.symmetrizer import _build_symmetrizer, young_symmetrizer
 from ysym.tableau import Partition, YoungTableau, partitions, subtableau_fillings
 from ysym.tensor import (
     Certificate,
@@ -14,7 +15,9 @@ from ysym.tensor import (
     SymElement,
     Tabloid,
     TensorElement,
+    _act_group_sum,
     _left_anchor,
+    _project_word,
     _split_shape,
     _twist_filling,
     column_group,
@@ -375,6 +378,86 @@ def test_dn_realize_matches_projected_tabloid():
                 for f in _dn_fillings(lam, n, d):
                     want = project_sym(Tabloid(f.lift()).realize(), d)
                     assert f.realize() == want, f
+
+
+def _expanded_dn_realization(f):
+    # the formula realize used before acting factor by factor: b(T) rho is
+    # expanded and projected, then the expanded a(T) acts on it
+    triple = young_symmetrizer(YoungTableau.canonical(f.shape), f.degree)
+    rho = Tabloid(f.lift()).realization_word()
+    return project_sym(triple.b_part * rho, f.d).act(triple.a_part)
+
+
+def test_dn_realize_matches_expanded_formula():
+    rng = random.Random(606)
+    cases = 0
+    for d, n in ((2, 4), (3, 3), (4, 2)):
+        labels = [i for i in range(1, n + 1) for _ in range(d)]
+        for lam in partitions(d * n):
+            if lam.factorial() * lam.conjugate().factorial() > 40320:
+                continue
+            for _ in range(3):
+                rng.shuffle(labels)
+                f = DnFilling(lam.fill(labels), d)
+                assert f.realize() == _expanded_dn_realization(f), f
+                cases += 1
+    assert cases == 3 * (22 + 23 + 22)
+    for text in ("1,2,3,1,3,3/2,4,4/1,2/4", "1,3,4,1,4,4/3,2,2/1,3/2"):
+        f = DnFilling.parse(text, 3)
+        assert f.realize() == _expanded_dn_realization(f)
+
+
+@st.composite
+def _sym_element_and_sets(draw):
+    """A random SymElement and disjoint entry sets of its degree."""
+    d = draw(st.integers(1, 3))
+    degree = d * draw(st.integers(1, 6 // d))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        w = draw(st.permutations(range(degree)))
+        terms[_project_word(tuple(w), d)] = draw(st.integers(-3, 3))
+    x = SymElement(degree, d, terms)
+    # each entry joins one of three sets or none
+    owner = draw(st.lists(st.integers(0, 3), min_size=degree, max_size=degree))
+    sets = [[e for e in range(1, degree + 1) if owner[e - 1] == s] for s in (1, 2, 3)]
+    return x, sets, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sym_element_and_sets())
+def test_act_group_sum_matches_expanded_action(case):
+    x, sets, signed = case
+    expanded = _group_product_sum(sets, x.degree, signed)
+    assert _act_group_sum(x, sets, signed) == x.act(expanded)
+
+
+def test_dn_realize_builds_no_symmetrizer():
+    # degree 10 with d = 5 is used nowhere else, so its shape is fresh
+    f = DnFilling.parse("1,1,1,1,1,2/2,2,2,2", 5)
+    before = _build_symmetrizer.cache_info()
+    assert not f.realize().is_zero()
+    assert _build_symmetrizer.cache_info() == before
+
+
+def test_project_word_matches_letterwise_sort():
+    rng = random.Random(17)
+    for d, degree in ((1, 6), (2, 8), (3, 9), (4, 12), (5, 255)):
+        for _ in range(20):
+            w = list(range(degree))
+            rng.shuffle(w)
+            want = tuple(
+                sorted(tuple(sorted(v + 1 for v in w[i : i + d])) for i in range(0, degree, d))
+            )
+            assert _project_word(tuple(w), d) == want
+    with pytest.raises(ValueError, match="exceeds 255"):
+        _project_word(tuple(range(256)), 2)
+
+
+def test_lifted_certificate_budget():
+    # |R|*|C| of shape 7,5 is 19,353,600; the lift would need gigabytes
+    f = DnFilling.parse("1,1,1,2,3,4,4/2,2,3,3,4", 3)
+    with pytest.raises(ValueError, match="budget of 40320"):
+        symmetrized_membership_certificate(f, 2)
 
 
 def test_dn_realize_display_fillings_vanish():
