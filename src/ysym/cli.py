@@ -68,8 +68,8 @@ def cmd_product(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = [s.strip() for s in args.suites.split(",")] if args.suites else list(SUITES)
-    if not names:
+    names = list(SUITES) if args.suites is None else [s.strip() for s in args.suites.split(",")]
+    if names == [""]:
         raise ValueError("no suites selected")
     if args.max_n is not None and args.max_n < 1:
         raise ValueError("--max-n must be at least 1")

@@ -6,9 +6,10 @@ supported on permutations that move entries of S weakly left, satisfying
     c(T) * c(S) = c(T) * E        (exactly, in the group algebra)
 
 with the identity coefficient of E equal to the hook product of the shape
-of S.  One corner of difference admits a closed formula over the blocks of
-the truncated subtableau; the general case composes closed-form steps by
-peeling rightmost corners.
+of S.  One corner of difference gives the closed formula
+alpha_S * prod (1 - x_i / r_i) over the blocks of the truncated subtableau;
+in general E is alpha_S times one ordered chain of these hook factors,
+collected while the rightmost corners of T outside S are peeled off.
 
 The module also houses the Garnir relation check and the congruence
 machinery (an equivalence modulo a chain of right annihilators) used to
@@ -23,9 +24,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import AlgebraElement, Coeff, _group_product_sum, transposition_sum
+from .algebra import AlgebraElement, Coeff, _group_product_sum, _mul_full, transposition_sum
 from .perm import Permutation
 from .tableau import (
+    BlockDecomposition,
     YoungTableau,
     blocks_from_column,
     in_left_set,
@@ -80,7 +82,7 @@ class ExpansionMultiplier:
 
     ``alpha`` is the hook product of the subtableau shape; it must equal the
     identity coefficient.  ``source`` records whether E came from the
-    one-corner closed formula or from the corner-peeling recursion.
+    one-corner closed formula or from a chain of several peeled corners.
     """
 
     element: AlgebraElement
@@ -119,6 +121,35 @@ def _added_corner(T: YoungTableau, S: YoungTableau) -> tuple[int, int]:
     raise AssertionError("unreachable: shapes differ by one cell")
 
 
+def _hook_factors(
+    a: int, blocks: BlockDecomposition, base_row: int, n: int
+) -> list[AlgebraElement]:
+    """The factors 1 - x_i / r_i of the closed formula, in block order.
+
+    x_i sums the transpositions of a with the entries of block i, and r_i is
+    the hook number of block i over ``base_row``.
+    """
+    unit = AlgebraElement.unit(n)
+    return [
+        unit - transposition_sum(a, b.entries, n).scale(Fraction(1, r))
+        for b, r in zip(blocks, blocks.hook_numbers(base_row))
+    ]
+
+
+def _corner_factors(a: int, U: YoungTableau, u: int, v: int, n: int) -> list[AlgebraElement]:
+    """The hook factors of adding the entry a to U at the corner (u, v).
+
+    The blocks are those of U stripped of its first v columns; v may exceed
+    the width of U (corner at the end of row one), which strips them all.
+    """
+    return _hook_factors(a, blocks_from_column(U, min(v, U.shape.part(1))), u, n)
+
+
+def _chain(alpha: int, factors: list[AlgebraElement], n: int) -> AlgebraElement:
+    """alpha times the product of the factors, left to right."""
+    return functools.reduce(_mul_full, factors, AlgebraElement.unit(n).scale(alpha))
+
+
 def closed_form_multiplier(
     T: YoungTableau, S: YoungTableau, degree: int | None = None
 ) -> ExpansionMultiplier:
@@ -131,49 +162,35 @@ def closed_form_multiplier(
     """
     n = T.max_entry() if degree is None else degree
     u, v = _added_corner(T, S)
-    a = T.entry(u, v)
-    mu = S.shape
-    # v may exceed the width of S (corner at the end of row one); stripping
-    # more columns than exist leaves the empty tableau either way.
-    dec = blocks_from_column(S, min(v, mu.part(1)))
-    hook_numbers = dec.hook_numbers(u)
-    unit = AlgebraElement.unit(n)
-    e = unit.scale(mu.hook_product())
-    for block, r in zip(dec, hook_numbers):
-        x = transposition_sum(a, block.entries, n)
-        e = e * (unit - x.scale(Fraction(1, r)))
-    return ExpansionMultiplier(e, "closed-form", mu.hook_product(), n)
+    alpha = S.shape.hook_product()
+    element = _chain(alpha, _corner_factors(T.entry(u, v), S, u, v, n), n)
+    return ExpansionMultiplier(element, "closed-form", alpha, n)
 
 
 def expand_product(
     T: YoungTableau, S: YoungTableau, degree: int | None = None
 ) -> ExpansionMultiplier:
-    """General multiplier via recursive corner peeling.
+    """General multiplier: alpha_S times one ordered chain of hook factors.
 
-    Equal tableaux give alpha times the identity; one corner of difference
-    delegates to the closed formula; otherwise the rightmost corner of T
-    outside S is removed to give U, and the multipliers compose as
-    (1/alpha_U) * E(T,U) * E(U,S).
+    The rightmost corner of T outside S is peeled off, one at a time, until
+    S is left; each step from U to U minus its corner contributes its
+    closed-form factors 1 - x_i / r_i, the outermost step first.  Equal
+    tableaux give alpha_S times the identity and one corner of difference
+    the closed formula ("closed-form"); longer chains are "recursive".
     """
     n = T.max_entry() if degree is None else degree
     if not T.has_subtableau(S):
         raise ValueError("S is not a subtableau of T")
-    mu = S.shape
-    if T.shape == mu:
-        return ExpansionMultiplier(
-            AlgebraElement.unit(n).scale(mu.hook_product()),
-            "closed-form",
-            mu.hook_product(),
-            n,
-        )
-    if T.shape.n == mu.n + 1:
-        return closed_form_multiplier(T, S, n)
-    u, v = rightmost_corner_outside(T, S)
-    U = T.remove_cell(u, v)
-    outer = closed_form_multiplier(T, U, n)
-    inner = expand_product(U, S, n)
-    element = (outer.element * inner.element).scale(Fraction(1, U.shape.hook_product()))
-    return ExpansionMultiplier(element, "recursive", mu.hook_product(), n)
+    factors: list[AlgebraElement] = []
+    U = T
+    while U.shape != S.shape:
+        u, v = rightmost_corner_outside(U, S)
+        a = U.entry(u, v)
+        U = U.remove_cell(u, v)
+        factors += _corner_factors(a, U, u, v, n)
+    alpha = S.shape.hook_product()
+    source = "recursive" if T.size > S.size + 1 else "closed-form"
+    return ExpansionMultiplier(_chain(alpha, factors, n), source, alpha, n)
 
 
 def garnir_zero(
@@ -214,14 +231,11 @@ class CongruenceContext:
         n = T.max_entry() if degree is None else degree
         u, v = _added_corner(T, S)
         a = T.entry(u, v)
-        mu = S.shape
-        right_entries: set[int] = set()
-        for j in range(v, mu.part(1) + 1):
-            right_entries.update(S.column_set(j))
+        right_entries = [e for j in range(v, S.shape.part(1) + 1) for e in S.column_set(j)]
         self.degree = n
         self.corner = (u, v)
         self.entry = a
-        self.x_total = transposition_sum(a, right_entries, n) if right_entries else AlgebraElement.zero(n)
+        self.x_total = transposition_sum(a, right_entries, n)
         w = young_symmetrizer(T, n).a_part * young_symmetrizer(S, n).c
         chain: list[AlgebraElement] = []
         # Echelon rows, each scaled to coefficient 1 at its pivot, the least
@@ -323,8 +337,6 @@ def verify_corner_identities(
     aTcS = aT * cS
 
     def z(j: int) -> AlgebraElement:
-        if j > mu.part(1):
-            return AlgebraElement.zero(n)
         return transposition_sum(a, S.column_set(j), n)
 
     def add(check_id: str, residuals: Iterable[AlgebraElement]) -> None:
@@ -349,10 +361,11 @@ def verify_corner_identities(
     ls = dec.lengths
     hs = dec.heights
     rs = dec.hook_numbers(hs[0]) if m else ()
+    factors = _hook_factors(a, dec, hs[0] if m else 0, n)
 
-    dect = blocks_from_column(S, min(v, mu.part(1)))
-    xst = [transposition_sum(a, b.entries, n) for b in dect]
-    rst = dect.hook_numbers(u)
+    def x_upto(t: int) -> AlgebraElement:
+        """x_1 + ... + x_t, the blocks being disjoint."""
+        return transposition_sum(a, [e for b in dec[:t] for e in b.entries], n)
 
     # block products: x_i x_j = l_j x_i and x_i^2 = (l_i - h_i) x_i + l_i h_i
     def block_product_residuals():
@@ -365,24 +378,13 @@ def verify_corner_identities(
 
     add("block-products", block_product_residuals())
 
-    def hook_factor_product(elements, hook_nums):
-        e = unit
-        for x, r in zip(elements, hook_nums):
-            e = e * (unit - x.scale(Fraction(1, r)))
-        return e
-
     # corner reduction: absorbing (1 - z_v) into the block product
-    lhs = cS * (unit - z(v)) * hook_factor_product(xst, rst)
-    rhs = cS * hook_factor_product(xs, rs)
-    add("corner-reduction", [lhs - rhs])
+    lhs = cS * (unit - z(v)) * _chain(1, _corner_factors(a, S, u, v, n), n)
+    add("corner-reduction", [lhs - cS * _chain(1, factors, n)])
 
     # corner sandwich: only the first block survives between two symmetrizers
-    lhs = cS * (unit - z(v)) * cS
-    if m:
-        rhs = cS * (unit - xs[0].scale(Fraction(1, rs[0]))) * cS
-    else:
-        rhs = cS * cS
-    add("corner-sandwich", [lhs - rhs])
+    first_sandwich = cS * _chain(1, factors[:1], n) * cS
+    add("corner-sandwich", [cS * (unit - z(v)) * cS - first_sandwich])
 
     # cyclic sandwich: a cycle through increasing columns collapses or dies
     def cycle_sandwich_residuals():
@@ -402,12 +404,7 @@ def verify_corner_identities(
     add("cycle-sandwich", cycle_sandwich_residuals())
 
     # full block sandwich: the whole hook-factor product collapses likewise
-    if m:
-        lhs = cS * (unit - xs[0].scale(Fraction(1, rs[0]))) * cS
-        rhs = cS * hook_factor_product(xs, rs) * cS
-        add("block-sandwich", [lhs - rhs])
-    else:
-        add("block-sandwich", [])
+    add("block-sandwich", [cS * _chain(1, factors, n) * cS - first_sandwich] if m else [])
 
     # left-column annihilation for permutations fixing the left of S
     def left_column_residuals():
@@ -427,9 +424,7 @@ def verify_corner_identities(
     add("left-column-annihilation", left_column_residuals())
 
     # the sum over all columns commutes with the subtableau symmetrizer
-    Z = AlgebraElement.zero(n)
-    for j in range(1, mu.part(1) + 1):
-        Z = Z + z(j)
+    Z = transposition_sum(a, S.entries, n)
 
     def commutation_residuals():
         yield cS * Z - Z * cS
@@ -444,9 +439,8 @@ def verify_corner_identities(
     add("colsum-commutation", commutation_residuals())
 
     # polynomial sandwich: a c alpha X^t = a c X^t c
-    X = AlgebraElement.zero(n)
-    for j in range(v, mu.part(1) + 1):
-        X = X + z(j)
+    ctx = congruence_context(T, S, n)
+    X = ctx.x_total
     alpha = mu.hook_product()
 
     def sandwich_residuals():
@@ -458,8 +452,6 @@ def verify_corner_identities(
     add("polynomial-sandwich", sandwich_residuals())
 
     # block polynomials: P_t and Q_t, their base case and congruences
-    ctx = congruence_context(T, S, n)
-
     def poly_P(t: int) -> AlgebraElement:
         e = unit
         for i in range(t):
@@ -467,9 +459,7 @@ def verify_corner_identities(
         return e
 
     def poly_Q(t: int) -> AlgebraElement:
-        xt = AlgebraElement.zero(n)
-        for i in range(t):
-            xt = xt + xs[i]
+        xt = x_upto(t)
         cum = list(itertools.accumulate(ls))
         e = unit
         for i in range(1, t + 1):
@@ -510,10 +500,7 @@ def verify_corner_identities(
         zero = AlgebraElement.zero(n)
         for t in range(1, m + 1):
             pt = poly_P(t)
-            xt = AlgebraElement.zero(n)
-            for i in range(t):
-                xt = xt + xs[i]
-            shifted = xt + unit.scale(hs[0])
+            shifted = x_upto(t) + unit.scale(hs[0])
             if not ctx.congruent(pt * shifted, zero):
                 return False
             if not ctx.congruent(shifted * pt, zero):

@@ -266,7 +266,7 @@ class YoungTableau:
         )
 
     def max_entry(self) -> int:
-        return max(self._pos)
+        return max(self._pos, default=0)
 
 
 class Block(NamedTuple):

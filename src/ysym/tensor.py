@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Sequence
@@ -242,35 +243,14 @@ class Summand:
 
 
 def _split_shape(F: YoungTableau, k: int) -> Partition:
-    """The shape of the cells holding 1..k, which must form a diagram."""
-    cells = set(F.position(i) for i in range(1, k + 1))
-
-    def offending() -> tuple[int, int]:
-        for cell in sorted(cells):
-            i, j = cell
-            if (j > 1 and (i, j - 1) not in cells) or (i > 1 and (i - 1, j) not in cells):
-                return cell
-        return min(cells)
-
-    rowlens: dict[int, int] = {}
-    for (i, _j) in cells:
-        rowlens[i] = rowlens.get(i, 0) + 1
-    parts = [rowlens.get(i, 0) for i in range(1, max(rowlens, default=0) + 1)]
-    try:
-        mu = Partition(parts)
-    except ValueError:
-        raise ValueError(
-            f"entries 1..{k} of {F} do not fill a diagram (cell {offending()})"
-        ) from None
-    expected = set()
-    for i, p in enumerate(mu.parts, start=1):
-        for j in range(1, p + 1):
-            expected.add((i, j))
-    if cells != expected:
-        raise ValueError(
-            f"entries 1..{k} of {F} do not fill a diagram (cell {offending()})"
-        )
-    return mu
+    """The shape of the cells holding 1..k, which must form a diagram: each
+    such cell has its left and upper neighbours among them."""
+    cells = {F.position(i) for i in range(1, k + 1)}
+    for i, j in sorted(cells):
+        if (j > 1 and (i, j - 1) not in cells) or (i > 1 and (i - 1, j) not in cells):
+            raise ValueError(f"entries 1..{k} of {F} do not fill a diagram (cell {(i, j)})")
+    rows = Counter(i for i, _ in cells)
+    return Partition(rows[i] for i in range(1, len(rows) + 1))
 
 
 def _twist_filling(F: YoungTableau, sigma: Permutation) -> YoungTableau:

@@ -54,6 +54,15 @@ def test_product_brute_agreement(capsys):
     assert data["agree"] is True
 
 
+def test_product_empty_subshape_brute(capsys):
+    code, out, err = run(capsys, ["product", "--shape", "2", "--subshape", "", "--brute"])
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["agree"] is True
+    assert data["alpha"] == 1
+    assert AlgebraElement.from_json(data["multiplier"]) == AlgebraElement.unit(2)
+
+
 def test_product_bad_input(capsys):
     code, _, err = run(capsys, ["product", "--shape", "1,2", "--subshape", "1"])
     assert code == 2
@@ -84,6 +93,16 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, ["verify", "--suites", "nonsense"])
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_verify_empty_suite_list(capsys, monkeypatch):
+    from ysym import cli
+
+    monkeypatch.setattr(cli, "run_suites", lambda *args: pytest.fail("a suite ran"))
+    code, out, err = run(capsys, ["verify", "--suites", ""])
+    assert code == 2
+    assert "no suites selected" in err
+    assert out == ""
 
 
 def test_verify_env_override(capsys, monkeypatch, tmp_path):

@@ -1,6 +1,8 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every private
+module-level name is used somewhere in the package.
 
-``__init__.py`` is left out: it imports names in order to re-export them.
+``__init__.py`` is left out of the import check: it imports names in order
+to re-export them.
 """
 
 import ast
@@ -10,7 +12,8 @@ import pytest
 
 import ysym
 
-MODULES = sorted(p for p in Path(ysym.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(ysym.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
@@ -28,3 +31,45 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(_imported_names(tree) - used) == []
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, statement) for each module-level function, class or constant
+    whose name starts with a single underscore."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, stmt
+
+
+def _referenced_names(stmt: ast.stmt) -> set[str]:
+    """Names read, attributes taken and names imported in one statement."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_every_private_name_is_used():
+    # a private helper that nothing else in the package names is dead code
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE]
+    references = [(stmt, _referenced_names(stmt)) for tree in trees for stmt in tree.body]
+    unused = [
+        f"{path.name}:{name}"
+        for path, tree in zip(PACKAGE, trees)
+        for name, definition in _private_definitions(tree)
+        if not any(name in refs for stmt, refs in references if stmt is not definition)
+    ]
+    assert unused == []

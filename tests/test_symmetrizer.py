@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ysym.algebra import AlgebraElement, conjugate, random_element
+from ysym.algebra import AlgebraElement, _mul_full, conjugate, random_element
 from ysym.perm import Permutation
 from ysym.symmetrizer import (
     CongruenceContext,
@@ -17,7 +17,13 @@ from ysym.symmetrizer import (
     verify_corner_identities,
     young_symmetrizer,
 )
-from ysym.tableau import Partition, YoungTableau, partitions
+from ysym.tableau import (
+    Partition,
+    YoungTableau,
+    blocks_from_column,
+    partitions,
+    rightmost_corner_outside,
+)
 
 P = Partition.parse
 T = YoungTableau.parse
@@ -234,13 +240,97 @@ def test_expand_product_two_step_brute():
     assert e.identity_coefficient() == 2  # hook product of a single row of 2
 
 
+def test_empty_subtableau():
+    # the empty tableau has largest entry 0 and the unit as its symmetrizer
+    t = T("1,2/3")
+    empty = t.restrict(P(""))
+    assert empty.max_entry() == 0
+    triple = young_symmetrizer(empty, 3)
+    assert triple.a_part == triple.b_part == triple.c == AlgebraElement.unit(3)
+    assert young_symmetrizer(empty).c == AlgebraElement.unit(0)
+    e = expand_product(t, empty)
+    assert e.element == AlgebraElement.unit(3)
+    assert e.alpha == 1
+    ct = young_symmetrizer(t).c
+    assert ct * triple.c == ct * e.element
+
+
 def subdiagram_pairs(max_n):
     for n in range(1, max_n + 1):
         for lam in partitions(n):
             t = YoungTableau.canonical(lam)
-            for k in range(1, n + 1):
+            for k in range(n + 1):
                 for mu in partitions(k, within=lam):
                     yield t, t.restrict(mu)
+
+
+def recursive_multiplier(t, s, n):
+    """The corner-peeling recursion, kept as the oracle of the factor chain.
+
+    Returns (element, source, alpha): the rightmost corner of t outside s is
+    removed to give U, and E(t,s) = (1/alpha_U) * E(t,U) * E(U,s) with the
+    one-corner E(t,U) expanded here from its hook factors.
+    """
+    alpha = s.shape.hook_product()
+    if t.shape == s.shape:
+        return AlgebraElement.unit(n).scale(alpha), "closed-form", alpha
+    u, v = rightmost_corner_outside(t, s)
+    U = t.remove_cell(u, v)
+    a = t.entry(u, v)
+    dec = blocks_from_column(U, min(v, U.shape.part(1)))
+    pairs = [(transposition_sum(a, b.entries, n), r) for b, r in zip(dec, dec.hook_numbers(u))]
+    outer = build_hook_factor_product(U.shape.hook_product(), pairs, n)
+    if U.shape == s.shape:
+        return outer, "closed-form", alpha
+    inner, _, _ = recursive_multiplier(U, s, n)
+    return (outer * inner).scale(Fraction(1, U.shape.hook_product())), "recursive", alpha
+
+
+def noncanonical_pairs(count, seed):
+    """Seeded tableaux on arbitrary ground sets with a random subtableau, at
+    a degree above the largest entry."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(1, 6)
+        lam = rng.choice(list(partitions(k)))
+        degree = k + rng.randint(1, 2)
+        t = YoungTableau(lam.fill(rng.sample(range(1, degree), k)))
+        mu = rng.choice([m for j in range(k + 1) for m in partitions(j, within=lam)])
+        yield t, t.restrict(mu), degree
+
+
+def test_expand_product_matches_recursive_composition():
+    cases = [(t, s, t.size) for t, s in subdiagram_pairs(7)]
+    cases += list(noncanonical_pairs(300, seed=2013))
+    for t, s, n in cases:
+        e = expand_product(t, s, n)
+        assert (e.element, e.source, e.alpha) == recursive_multiplier(t, s, n), (t, s, n)
+        assert e.degree == n
+
+
+@st.composite
+def _tableau_with_subtableau(draw):
+    """A tableau of at most 5 cells on an arbitrary ground set, one of its
+    subtableaux, and a degree above its largest entry."""
+    k = draw(st.integers(1, 5))
+    lam = draw(st.sampled_from(list(partitions(k))))
+    mu = draw(st.sampled_from([m for j in range(k + 1) for m in partitions(j, within=lam)]))
+    degree = draw(st.integers(k + 1, k + 3))
+    entries = draw(st.permutations(list(range(1, degree))))[:k]
+    t = YoungTableau(lam.fill(entries))
+    return t, t.restrict(mu), degree
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tableau_with_subtableau())
+def test_expand_product_on_arbitrary_ground_sets(case):
+    t, s, degree = case
+    e = expand_product(t, s, degree)
+    ct = young_symmetrizer(t, degree).c
+    cs = young_symmetrizer(s, degree).c
+    assert _mul_full(ct, cs) == _mul_full(ct, e.element)
+    assert e.identity_coefficient() == e.alpha == s.shape.hook_product()
+    assert e.support_in_left_set(t, s)
 
 
 @pytest.mark.parametrize("max_n", [4])
