@@ -22,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Union
 
-from .perm import Permutation, _intern, all_permutations
+from .perm import Permutation, _from_word, _table, all_permutations
 
 Coeff = Union[int, Fraction]
 
@@ -139,7 +139,7 @@ class AlgebraElement:
         if not self._terms:
             return f"AlgebraElement(S_{self.degree}, 0)"
         bits = []
-        for p, c in sorted(self._terms.items(), key=lambda kv: kv[0].w):
+        for p, c in sorted(self._terms.items()):
             bits.append(f"{coeff_to_str(c)}*{p.cycle_string()}")
             if len(bits) == 6 and len(self._terms) > 6:
                 bits.append(f"... {len(self._terms)} terms")
@@ -187,10 +187,9 @@ class AlgebraElement:
         if isinstance(other, Permutation):
             if other.degree != self.degree:
                 raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-            qw = other.w
             return AlgebraElement._make(
                 self.degree,
-                {_intern(tuple(map(p.w.__getitem__, qw))): c for p, c in self._terms.items()},
+                {_from_word(other.translate(_table(p))): c for p, c in self._terms.items()},
             )
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -200,10 +199,9 @@ class AlgebraElement:
         if isinstance(other, Permutation):
             if other.degree != self.degree:
                 raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-            qw = other.w
+            table = _table(other)
             return AlgebraElement._make(
-                self.degree,
-                {_intern(tuple(map(qw.__getitem__, p.w))): c for p, c in self._terms.items()},
+                self.degree, {_from_word(p.translate(table)): c for p, c in self._terms.items()}
             )
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -212,7 +210,7 @@ class AlgebraElement:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        terms = sorted(self._terms.items(), key=lambda kv: kv[0].word)
+        terms = sorted(self._terms.items())
         return {
             "degree": self.degree,
             "terms": [
@@ -239,16 +237,13 @@ class AlgebraElement:
         return AlgebraElement.from_json(json.loads(s))
 
 
-_BYTE_IDENTITY = bytes(range(256))
-
-
-def _integer_groups(f: AlgebraElement, tail: bytes) -> tuple[int, dict[int, list[bytes]]]:
+def _integer_groups(f: AlgebraElement) -> tuple[int, dict[int, list[Permutation]]]:
     """f scaled to integers: the lcm d of its denominators, and for each
-    integer coefficient d*c the words of its permutations as bytes + tail."""
+    integer coefficient d*c the permutations that carry it."""
     den = math.lcm(*{c.denominator for c in f._terms.values()})
-    groups: dict[int, list[bytes]] = {}
+    groups: dict[int, list[Permutation]] = {}
     for p, c in f._terms.items():
-        groups.setdefault(c.numerator * (den // c.denominator), []).append(bytes(p.w) + tail)
+        groups.setdefault(c.numerator * (den // c.denominator), []).append(p)
     return den, groups
 
 
@@ -260,18 +255,16 @@ def _mul_full(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     a Counter counts the composed words of each pair of coefficient groups.
     Coefficients meet only once per distinct result word and coefficient.
     """
-    n = f.degree
-    if n > 256:
-        raise ValueError(f"degree {n} exceeds 256, the largest the byte-word kernel holds")
-    fden, tables = _integer_groups(f, _BYTE_IDENTITY[n:])
-    gden, words = _integer_groups(g, b"")
+    fden, groups = _integer_groups(f)
+    gden, words = _integer_groups(g)
     counts: dict[int, Counter] = {}
-    for kf, ps in tables.items():
+    for kf, ps in groups.items():
+        tables = list(map(_table, ps))
         for kg, qs in words.items():
             counter = counts.get(kf * kg)
             if counter is None:
                 counter = counts[kf * kg] = Counter()
-            counter.update(itertools.starmap(bytes.translate, itertools.product(qs, ps)))
+            counter.update(itertools.starmap(bytes.translate, itertools.product(qs, tables)))
     acc: dict[bytes, int] = {}
     acc_get = acc.get
     for k, counter in counts.items():
@@ -281,7 +274,7 @@ def _mul_full(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     terms: dict[Permutation, Coeff] = {}
     for w, c in acc.items():
         if c:
-            terms[_intern(tuple(w))] = c // den if c % den == 0 else Fraction(c, den)
+            terms[_from_word(w)] = c // den if c % den == 0 else Fraction(c, den)
     return AlgebraElement._make(f.degree, terms)
 
 
@@ -367,7 +360,7 @@ def random_element(n: int, nterms: int, rng, max_num: int = 5) -> AlgebraElement
         else:
             w = list(range(n))
             rng.shuffle(w)
-            p = _intern(tuple(w))
+            p = _from_word(w)
         num = rng.randint(-max_num, max_num)
         den = rng.randint(1, 3)
         c = normalize_coeff(Fraction(num, den))

@@ -1,9 +1,12 @@
 """Permutations of {1..n} with composition, sign, cycles and the star product.
 
-A permutation is stored in one-line word form.  Internally the word is a
-0-based tuple ``w`` with ``w[i] = sigma(i+1) - 1``; the public ``word``
-property is the usual 1-based one-line form.  Instances are interned, so
-equal permutations are the same object and hashing is a precomputed int.
+A permutation is a ``bytes`` object whose value is its 0-based one-line
+word: byte i holds sigma(i+1) - 1.  Equality, hashing, ordering, ``len``
+and indexing are those of the word and run in C, and products compose
+words with ``bytes.translate`` without converting them.  Nothing is
+interned: equal permutations are equal objects, not one shared object.
+A byte holds 256 letters, so every permutation has degree at most 256.
+The public ``word`` property is the usual 1-based one-line form.
 
 Degrees are explicit everywhere: there is no implicit embedding of S_k into
 S_n.  Use :meth:`Permutation.pad` or :func:`star` to change degree.
@@ -11,20 +14,26 @@ S_n.  Use :meth:`Permutation.pad` or :func:`star` to change degree.
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Iterable, Sequence
 
-_POOL: dict[tuple[int, ...], "Permutation"] = {}
+_BYTE_IDENTITY = bytes(range(256))
 
 
-def _intern(w: tuple[int, ...]) -> "Permutation":
-    p = _POOL.get(w)
-    if p is None:
-        p = object.__new__(Permutation)
-        p.w = w
-        p._hash = hash(w)
-        _POOL[w] = p
-    return p
+def _from_word(w: Sequence[int]) -> "Permutation":
+    """The permutation of a trusted 0-based word, given as bytes or ints.
+
+    Every permutation is made here, so this is the one degree limit.
+    """
+    if len(w) > 256:
+        raise ValueError(f"degree {len(w)} exceeds 256, the largest a byte word holds")
+    return bytes.__new__(Permutation, w)
+
+
+def _table(p: "Permutation") -> bytes:
+    """p as a translation table: ``q.translate(_table(p))`` is the word of p * q."""
+    return bytes.__add__(p, _BYTE_IDENTITY[len(p) :])
 
 
 def _parity_of_word(w: Sequence[int]) -> int:
@@ -46,21 +55,20 @@ def _parity_of_word(w: Sequence[int]) -> int:
     return sign
 
 
-class Permutation:
+class Permutation(bytes):
     """A bijection of {1..n}; the atom all the algebra is built on."""
 
-    __slots__ = ("w", "_hash")
-
-    w: tuple[int, ...]
-    _hash: int
+    __slots__ = ()
 
     def __new__(cls, word: Iterable[int]) -> "Permutation":
         word = list(word)
-        w = tuple(v - 1 for v in word)
-        n = len(w)
-        if sorted(w) != list(range(n)):
+        n = len(word)
+        if sorted(word) != list(range(1, n + 1)):
             raise ValueError(f"not a one-line word of {{1..{n}}}: {word}")
-        return _intern(w)
+        return _from_word([v - 1 for v in word])
+
+    def __reduce__(self):
+        return (Permutation, (self.word,))
 
     # -- constructors ------------------------------------------------------
 
@@ -68,7 +76,7 @@ class Permutation:
     def identity(n: int) -> "Permutation":
         if n < 0:
             raise ValueError("degree must be >= 0")
-        return _intern(tuple(range(n)))
+        return _from_word(range(n))
 
     @staticmethod
     def transposition(a: int, b: int, n: int) -> "Permutation":
@@ -78,7 +86,7 @@ class Permutation:
             raise ValueError(f"entries {a},{b} out of range for degree {n}")
         w = list(range(n))
         w[a - 1], w[b - 1] = b - 1, a - 1
-        return _intern(tuple(w))
+        return _from_word(w)
 
     @staticmethod
     def cycle(a: int, bs: Sequence[int], n: int) -> "Permutation":
@@ -97,7 +105,7 @@ class Permutation:
         ring = [a] + list(reversed(bs))
         for src, dst in zip(ring, ring[1:] + ring[:1]):
             w[src - 1] = dst - 1
-        return _intern(tuple(w))
+        return _from_word(w)
 
     @staticmethod
     def from_cycles(cycles: Iterable[Sequence[int]], n: int) -> "Permutation":
@@ -112,30 +120,24 @@ class Permutation:
                 used.add(e)
             for src, dst in zip(cyc, list(cyc[1:]) + [cyc[0]]):
                 w[src - 1] = dst - 1
-        return _intern(tuple(w))
+        return _from_word(w)
 
     # -- basic protocol ----------------------------------------------------
 
     @property
     def degree(self) -> int:
-        return len(self.w)
+        return len(self)
 
     @property
     def word(self) -> tuple[int, ...]:
         """One-line form: position i holds sigma(i), 1-based."""
-        return tuple(v + 1 for v in self.w)
+        return tuple(v + 1 for v in self)
 
     def __call__(self, i: int) -> int:
-        return self.w[i - 1] + 1
+        return self[i - 1] + 1
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, Permutation) and self.w == other.w)
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.w < other.w
+    def __bool__(self) -> bool:
+        return True
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.word)})"
@@ -149,53 +151,52 @@ class Permutation:
         """Composition: (p * q)(i) = p(q(i))."""
         if not isinstance(other, Permutation):
             return NotImplemented
-        if len(self.w) != len(other.w):
-            raise ValueError(
-                f"degree mismatch: {len(self.w)} vs {len(other.w)}"
-            )
-        pw = self.w
-        return _intern(tuple(map(pw.__getitem__, other.w)))
+        if len(self) != len(other):
+            raise ValueError(f"degree mismatch: {len(self)} vs {len(other)}")
+        return _from_word(other.translate(_table(self)))
+
+    # bytes would repeat or concatenate words; a permutation has no such ops
+    def __rmul__(self, other):
+        return NotImplemented
+
+    def __add__(self, other):
+        return NotImplemented
 
     def inverse(self) -> "Permutation":
-        w = self.w
-        inv = [0] * len(w)
-        for i, v in enumerate(w):
-            inv[v] = i
-        return _intern(tuple(inv))
+        return _from_word(sorted(range(len(self)), key=self.__getitem__))
 
     def sign(self) -> int:
-        return _parity_of_word(self.w)
+        return _parity_of_word(self)
 
     def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.w))
+        return self == _BYTE_IDENTITY[: len(self)]
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its least entry, sorted by it."""
-        w = self.w
-        seen = [False] * len(w)
+        seen = [False] * len(self)
         out = []
-        for i in range(len(w)):
+        for i in range(len(self)):
             if seen[i]:
                 continue
             cyc = [i + 1]
             seen[i] = True
-            j = w[i]
+            j = self[i]
             while j != i:
                 seen[j] = True
                 cyc.append(j + 1)
-                j = w[j]
+                j = self[j]
             if len(cyc) > 1 or include_fixed:
                 out.append(tuple(cyc))
         return out
 
     def moved_points(self) -> frozenset[int]:
-        return frozenset(i + 1 for i, v in enumerate(self.w) if v != i)
+        return frozenset(i + 1 for i, v in enumerate(self) if v != i)
 
     def pad(self, n: int) -> "Permutation":
         """Embed into S_n fixing every new point."""
-        if n < len(self.w):
-            raise ValueError(f"cannot pad degree {len(self.w)} down to {n}")
-        return _intern(self.w + tuple(range(len(self.w), n)))
+        if n < len(self):
+            raise ValueError(f"cannot pad degree {len(self)} down to {n}")
+        return _from_word([*self, *range(len(self), n)])
 
     # -- text formats ------------------------------------------------------
 
@@ -203,7 +204,7 @@ class Permutation:
         return "[" + ",".join(str(v) for v in self.word) + "]"
 
     def cycle_string(self) -> str:
-        if not self.w:
+        if not len(self):
             return "()"
         cycs = self.cycles(include_fixed=True)
         return "".join("(" + " ".join(str(e) for e in c) + ")" for c in cycs)
@@ -241,13 +242,11 @@ def star(p: Permutation, q: Permutation) -> Permutation:
     The first n points follow p; the remaining m points follow q shifted
     up by n.
     """
-    n = len(p.w)
-    return _intern(p.w + tuple(n + v for v in q.w))
+    shift = _BYTE_IDENTITY[len(p) :] + _BYTE_IDENTITY[: len(p)]
+    # letters past 255 wrap around, but the word is then too long to build
+    return _from_word(bytes.__add__(p, q.translate(shift)))
 
 
 def all_permutations(n: int):
     """All of S_n in lexicographic one-line order."""
-    import itertools
-
-    for w in itertools.permutations(range(n)):
-        yield _intern(w)
+    return map(_from_word, itertools.permutations(range(n)))

@@ -13,6 +13,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Iterable
 
 from .algebra import AlgebraElement, antisymmetrize_set
@@ -20,6 +21,7 @@ from .perm import Permutation, all_permutations
 from .symmetrizer import (
     closed_form_multiplier,
     expand_product,
+    garnir_zero,
     verify_corner_identities,
     young_symmetrizer,
 )
@@ -99,8 +101,6 @@ def garnir_cases(max_n: int) -> list[tuple]:
 
 
 def garnir_case(args: tuple) -> CaseResult:
-    from .symmetrizer import garnir_zero
-
     lam = Partition(args[0])
     t = YoungTableau.canonical(lam)
     lamc = lam.conjugate()
@@ -151,8 +151,6 @@ def corner_product_case(args: tuple) -> CaseResult:
     if not e.signs_match_parity():
         return CaseResult("corner_product", case_id, False, "sign pattern")
     alpha = mu.hook_product()
-    from fractions import Fraction
-
     a = t.entry(u, v)
     for p, c in e.element.items():
         den = c.denominator if isinstance(c, Fraction) else 1

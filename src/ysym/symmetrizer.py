@@ -249,7 +249,7 @@ class CongruenceContext:
                     reduced = reduced - row.scale(c)
             if not reduced:
                 break
-            pivot = min(reduced.support(), key=lambda p: p.w)
+            pivot = min(reduced.support())
             basis.append((pivot, reduced.scale(Fraction(1, reduced.coeff(pivot)))))
             chain.append(w)
             w = w * self.x_total

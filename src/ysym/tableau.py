@@ -8,6 +8,7 @@ fills the diagram row by row, left to right, top to bottom, with 1..n.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator, NamedTuple
 
 from .perm import Permutation
@@ -126,8 +127,6 @@ class Partition:
 
     def factorial(self) -> int:
         """Product of the factorials of the parts."""
-        import math
-
         out = 1
         for p in self.parts:
             out *= math.factorial(p)

@@ -32,7 +32,7 @@ from .algebra import (
     coeff_to_str,
     normalize_coeff,
 )
-from .perm import Permutation, _intern, _parity_of_word
+from .perm import Permutation, _from_word, _parity_of_word
 from .perm import star as perm_star
 from .symmetrizer import expand_product, young_symmetrizer
 from .tableau import Partition, YoungTableau
@@ -40,14 +40,11 @@ from .tableau import Partition, YoungTableau
 
 def star_algebra(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the star product to algebra elements."""
-    n = f.degree
     terms: dict[Permutation, Coeff] = {}
     for p, cp in f.items():
-        pw = p.w
         for q, cq in g.items():
-            w = pw + tuple(n + v for v in q.w)
-            terms[_intern(w)] = normalize_coeff(cp * cq)
-    return AlgebraElement._make(n + g.degree, terms)
+            terms[perm_star(p, q)] = normalize_coeff(cp * cq)
+    return AlgebraElement._make(f.degree + g.degree, terms)
 
 
 @dataclass(frozen=True)
@@ -188,7 +185,7 @@ def _exchange_representatives(
                     w[src - 1] = dst - 1
                 for src, dst in zip(ys, new_y):
                     w[src - 1] = dst - 1
-                p = _intern(tuple(w))
+                p = _from_word(w)
                 yield p, p.sign()
 
 
@@ -305,11 +302,7 @@ class Certificate:
         target symmetrizer visibly lies in the right ideal the generator
         symmetrizers span.
         """
-        target_tab = Tabloid(self.target)
-        lhs = (
-            young_symmetrizer(YoungTableau.canonical(self.target.shape), self.degree).c
-            * target_tab.realization_word()
-        ).scale(self.scale)
+        lhs = realize_tabloid(self.target).value.scale(self.scale)
         rhs = AlgebraElement.zero(self.degree)
         for (gen, right), left in _merge_summands(self.summands).items():
             delta = gen.shape
@@ -440,7 +433,7 @@ def _certificate_summands(
 _SHIFT_UP = bytes(range(1, 256)) + b"\0"
 
 
-def _project_word(w: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
+def _project_word(w: bytes, d: int) -> tuple[tuple[int, ...], ...]:
     """Canonical block partition of a 0-based word: sorted blocks of size d.
 
     The length of w must be a multiple of d, and at most 255 so that every
@@ -448,7 +441,7 @@ def _project_word(w: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
     """
     if len(w) > 255:
         raise ValueError(f"degree {len(w)} exceeds 255, the largest a byte-word projection holds")
-    letters = bytes(w).translate(_SHIFT_UP)
+    letters = w.translate(_SHIFT_UP)
     return tuple(sorted(map(tuple, map(sorted, zip(*[iter(letters)] * d)))))
 
 
@@ -569,7 +562,7 @@ class SymElement:
         if isinstance(f, Permutation):
             f = AlgebraElement.from_perm(f)
         pairs = (
-            (tuple(sorted(tuple(sorted(p.w[v - 1] + 1 for v in blk)) for blk in key)), cp * c)
+            (tuple(sorted(tuple(sorted(p[v - 1] + 1 for v in blk)) for blk in key)), cp * c)
             for p, cp in f.items()
             for key, c in self.terms.items()
         )
@@ -593,7 +586,7 @@ def project_sym(x: TensorElement | AlgebraElement, d: int) -> SymElement:
     value = x.value if isinstance(x, TensorElement) else x
     if value.degree % d:
         raise ValueError(f"degree {value.degree} not divisible by {d}")
-    pairs = ((_project_word(p.w, d), c) for p, c in value.items())
+    pairs = ((_project_word(p, d), c) for p, c in value.items())
     return SymElement._make(value.degree, d, _add_into({}, pairs))
 
 
@@ -676,7 +669,7 @@ class DnFilling:
         """
         T = YoungTableau.canonical(self.shape)
         rho = Tabloid(self.lift()).realization_word()
-        x = SymElement._make(self.degree, self.d, {_project_word(rho.w, self.d): 1})
+        x = SymElement._make(self.degree, self.d, {_project_word(rho, self.d): 1})
         cols = [T.column(j) for j in range(1, self.shape.part(1) + 1)]
         x = _act_group_sum(x, cols, signed=True)
         return _act_group_sum(x, T.rows, signed=False)

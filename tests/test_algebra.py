@@ -5,19 +5,22 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ysym.algebra import (
     AlgebraElement,
     _group_product_sum,
+    _mul_full,
     antisymmetrize_set,
     conjugate,
     random_element,
     symmetrize_set,
+    transposition_sum,
 )
 from ysym.perm import Permutation, all_permutations
 from ysym.symmetrizer import expand_product, young_symmetrizer
 from ysym.tableau import YoungTableau, partitions
+from ysym.tensor import star_algebra
 
 
 def test_linear_cancellation():
@@ -114,6 +117,41 @@ def test_kernel_degree_limit():
     assert t * t == AlgebraElement.unit(256)
     with pytest.raises(ValueError, match="257"):
         AlgebraElement.unit(257) * AlgebraElement.unit(257)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_operands())
+def test_every_key_is_a_permutation(operands):
+    # a Permutation equals its plain bytes word, so only the key type shows
+    # a word that was stored without being made a Permutation
+    f, g = operands
+    n = f.degree
+    p = Permutation(range(n, 0, -1))
+    results = [
+        _mul_full(f, g),
+        f * p,
+        p * f,
+        star_algebra(f, g),
+        conjugate(p, f),
+        transposition_sum(1, range(2, n + 1), n),
+        f + g,
+        f - g,
+        f.scale(Fraction(2, 3)),
+        AlgebraElement.from_json(f.to_json()),
+    ]
+    for x in results:
+        assert all(type(q) is Permutation for q, _ in x.items())
+
+
+def test_permutation_has_no_bytes_arithmetic():
+    p, q = Permutation([2, 1, 3]), Permutation([1, 3, 2])
+    with pytest.raises(TypeError):
+        p * 3
+    with pytest.raises(TypeError):
+        3 * p
+    with pytest.raises(TypeError):
+        p + q
+    assert bool(Permutation.identity(0))
 
 
 def _non_canonical_fillings(lam):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ysym
 from ysym.algebra import AlgebraElement
 from ysym.cli import main
 from ysym.symmetrizer import closed_form_multiplier
@@ -73,6 +78,37 @@ def test_product_subshape_not_contained(capsys):
     code, _, err = run(capsys, ["product", "--shape", "2,1", "--subshape", "3"])
     assert code == 2
     assert "error:" in err
+
+
+def test_product_degree_above_256_rejected(capsys):
+    code, out, err = run(capsys, ["product", "--shape", "2", "--tableau", "1,300", "--subshape", "1"])
+    assert code == 2
+    assert out == ""
+    assert "exceeds 256" in err
+
+
+def _run_with_hash_seed(argv, seed):
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    src = str(Path(ysym.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ysym.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["product", "--shape", "3,2,1", "--subshape", "2,1", "--brute"],
+        ["certificate", "--filling", "1,2,3,6/4,5/7", "--k", "5", "--check"],
+    ],
+    ids=["product", "certificate"],
+)
+def test_output_independent_of_hash_seed(argv):
+    # bytes hashes are salted by PYTHONHASHSEED; no output may depend on them
+    assert _run_with_hash_seed(argv, 0) == _run_with_hash_seed(argv, 1)
 
 
 def test_verify_single_suite(capsys, tmp_path):

@@ -1,9 +1,15 @@
+import copy
 import itertools
+import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ysym.algebra import symmetrize_set
 from ysym.perm import Permutation, all_permutations, star
+from ysym.tableau import YoungTableau
+from ysym.tensor import membership_certificate
 
 
 def perm_strategy(n):
@@ -158,8 +164,22 @@ def test_pad():
 def test_interning_and_hash():
     a = Permutation([2, 1, 3])
     b = Permutation([2, 1, 3])
-    assert a is b
+    assert a == b
     assert hash(a) == hash(b)
+
+
+def test_pickle_and_deepcopy_round_trip():
+    p = Permutation([2, 1, 3])
+    for clone in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert clone == p and type(clone) is Permutation
+    f = symmetrize_set([1, 3], 3).scale(Fraction(2, 3)) * p
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and all(type(q) is Permutation for q, _ in g.items())
+    assert copy.deepcopy(f) == f
+    cert = membership_certificate(YoungTableau.parse("1,2,3,6/4,5/7"), 5)
+    clone = pickle.loads(pickle.dumps(cert))
+    assert clone.to_json() == cert.to_json()
+    assert clone.verify()
 
 
 def test_cycles_listing():

@@ -415,7 +415,7 @@ def _sym_element_and_sets(draw):
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
         w = draw(st.permutations(range(degree)))
-        terms[_project_word(tuple(w), d)] = draw(st.integers(-3, 3))
+        terms[_project_word(bytes(w), d)] = draw(st.integers(-3, 3))
     x = SymElement(degree, d, terms)
     # each entry joins one of three sets or none
     owner = draw(st.lists(st.integers(0, 3), min_size=degree, max_size=degree))
@@ -448,9 +448,9 @@ def test_project_word_matches_letterwise_sort():
             want = tuple(
                 sorted(tuple(sorted(v + 1 for v in w[i : i + d])) for i in range(0, degree, d))
             )
-            assert _project_word(tuple(w), d) == want
+            assert _project_word(bytes(w), d) == want
     with pytest.raises(ValueError, match="exceeds 255"):
-        _project_word(tuple(range(256)), 2)
+        _project_word(bytes(range(256)), 2)
 
 
 def test_lifted_certificate_budget():
