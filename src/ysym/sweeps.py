@@ -465,8 +465,11 @@ def symmetrized_case(args: tuple) -> CaseResult:
     if kind == "dn-certificates":
         _, d, n = args
         case_id = f"dn-certificates|d={d}|n={n}"
+        # a certificate of a zero target verifies at any scale, so count the others
+        nonzero = 0
         for lam in partitions(d * n):
             for f in _dn_fillings(lam, n, d):
+                target_nonzero = not f.realize().is_zero()
                 for k in range(1, n + 1):
                     try:
                         cert = symmetrized_membership_certificate(f, k)
@@ -476,7 +479,11 @@ def symmetrized_case(args: tuple) -> CaseResult:
                         return CaseResult(
                             "symmetrized", case_id, False, f"certificate {f} k={k}"
                         )
-        return CaseResult("symmetrized", case_id, True)
+                    nonzero += target_nonzero
+        stats = {"nonzero_targets": nonzero}
+        if not nonzero:
+            return CaseResult("symmetrized", case_id, False, "every target is zero", stats)
+        return CaseResult("symmetrized", case_id, True, stats=stats)
     raise ValueError(f"unknown symmetrized case {args}")
 
 

@@ -158,13 +158,11 @@ def closed_form_multiplier(
     The product runs over the blocks of S stripped of its first v columns,
     in left-to-right block order, where (u, v) is the added cell; x_i sums
     the transpositions of the new entry with the block entries, and r_i is
-    the hook length of the subshape at (h_i, v).
+    the hook length of the subshape at (h_i, v).  This is ``expand_product``
+    restricted to a single added corner, which it peels in one step.
     """
-    n = T.max_entry() if degree is None else degree
-    u, v = _added_corner(T, S)
-    alpha = S.shape.hook_product()
-    element = _chain(alpha, _corner_factors(T.entry(u, v), S, u, v, n), n)
-    return ExpansionMultiplier(element, "closed-form", alpha, n)
+    _added_corner(T, S)
+    return expand_product(T, S, degree)
 
 
 def expand_product(

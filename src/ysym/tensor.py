@@ -228,9 +228,6 @@ class Summand:
     generator: YoungTableau | DnFilling
     right: Permutation
 
-    def scaled(self, c: Coeff) -> "Summand":
-        return Summand(self.left.scale(c), self.generator, self.right)
-
     def to_json(self) -> dict:
         return {
             "left": self.left.to_json(),
@@ -290,9 +287,9 @@ class Certificate:
     def verify(self) -> bool:
         lhs = realize_tabloid(self.target).value.scale(self.scale)
         rhs = AlgebraElement.zero(self.degree)
-        for (gen, right), left in _merge_summands(self.summands).items():
-            piece = star_algebra(realize_tabloid(gen).value, AlgebraElement.from_perm(right))
-            rhs = rhs + left * piece
+        for s in self.summands:
+            gen = realize_tabloid(s.generator).value
+            rhs = rhs + s.left * star_algebra(gen, AlgebraElement.from_perm(s.right))
         return lhs == rhs
 
     def verify_symmetrizer_form(self) -> bool:
@@ -304,13 +301,12 @@ class Certificate:
         """
         lhs = realize_tabloid(self.target).value.scale(self.scale)
         rhs = AlgebraElement.zero(self.degree)
-        for (gen, right), left in _merge_summands(self.summands).items():
-            delta = gen.shape
-            c_delta = young_symmetrizer(YoungTableau.canonical(delta), gen.size).c
+        for s in self.summands:
+            gen = s.generator
+            c_delta = young_symmetrizer(YoungTableau.canonical(gen.shape), gen.size).c
             rho = Tabloid(gen).realization_word()
             embedded = star_algebra(c_delta, AlgebraElement.unit(self.degree - gen.size))
-            word = perm_star(rho, right)
-            rhs = rhs + left * (embedded * word)
+            rhs = rhs + s.left * (embedded * perm_star(rho, s.right))
         return lhs == rhs
 
     def to_json(self) -> dict:
@@ -341,17 +337,6 @@ class Certificate:
         )
 
 
-def _merge_summands(
-    summands: Iterable[Summand],
-) -> dict[tuple[YoungTableau, Permutation], AlgebraElement]:
-    """The summed left factor of each (generator, right) pair, in first-seen order."""
-    merged: dict[tuple[YoungTableau, Permutation], AlgebraElement] = {}
-    for s in summands:
-        key = (s.generator, s.right)
-        merged[key] = merged[key] + s.left if key in merged else s.left
-    return merged
-
-
 _EXPAND_CACHE_SIZE = 1024
 
 
@@ -367,63 +352,56 @@ def membership_certificate(F: YoungTableau, k: int) -> Certificate:
     Requires the entries 1..k of F to fill a subdiagram.  The certificate
     scale is the hook product of that subdiagram; the generators are
     restrictions of split fillings dominating F's, so every generator
-    tabloid uses the entries 1..k only.
+    tabloid uses the entries 1..k only.  The recursion runs on scalar
+    weights over split fillings (``_split_weights``); each generator
+    collects the weighted anchors of the fillings it restricts, and c(T)
+    multiplies that sum once, T the canonical tableau of F's shape.
     """
     n = F.size
     if F.entries != frozenset(range(1, n + 1)):
         raise ValueError("filling must use exactly {1..n}")
     if not (1 <= k <= n):
         raise ValueError(f"cutoff {k} out of range 1..{n}")
-    mu = _split_shape(F, k)
-    memo: dict[tuple, tuple[Summand, ...]] = {}
-    summands = _certificate_summands(F, k, memo)
-    return Certificate(n, k, mu.hook_product(), F, summands)
+    alpha = _split_shape(F, k).hook_product()
+    if k == n:
+        only = Summand(AlgebraElement.unit(n).scale(alpha), F, Permutation.identity(0))
+        return Certificate(n, k, alpha, F, (only,))
+    anchors: dict[YoungTableau, dict[Permutation, Coeff]] = {}
+    for H, w in _split_weights(F, k, {}).items():
+        delta = _split_shape(H, k)
+        _add_into(anchors.setdefault(H.restrict(delta), {}), [(_left_anchor(H, delta), w)])
+    cT = young_symmetrizer(YoungTableau.canonical(F.shape), n).c
+    right = Permutation.identity(n - k)
+    lefts = ((gen, cT * AlgebraElement._make(n, x)) for gen, x in anchors.items())
+    summands = tuple(Summand(left, gen, right) for gen, left in lefts if left)
+    return Certificate(n, k, alpha, F, summands)
 
 
-def _certificate_summands(
-    F: YoungTableau, k: int, memo: dict
-) -> tuple[Summand, ...]:
-    """Summands expressing hook_product(mu) * [F] with mu the split shape."""
-    key = F.rows
-    cached = memo.get(key)
+def _split_weights(F: YoungTableau, k: int, memo: dict) -> dict[YoungTableau, Coeff]:
+    """The weights w_H of split fillings H of F's shape, in first-seen order, with
+
+        hook(mu) [F] = sum_H w_H c(T) anchor_H ([H restricted to delta_H] star 1),
+
+    mu and delta_H the split shapes and anchor_H = _left_anchor(H, delta_H).
+    c(T) c(S) = c(T) E, S = T restricted to mu, gives hook(mu) [F] the term
+    H = F plus the terms -m [sigma rho_F] over E = sum m sigma, sigma not 1;
+    each of those straightens into split fillings H of F's shape, which
+    recurse with their own hook(delta_H).  Requires k < F.size.
+    """
+    cached = memo.get(F.rows)
     if cached is not None:
         return cached
     n = F.size
-    mu = _split_shape(F, k)
-    lam = F.shape
-    T = YoungTableau.canonical(lam)
-    gen0 = F.restrict(mu)
-    if k == n:
-        result = (
-            Summand(
-                AlgebraElement.unit(n).scale(mu.hook_product()),
-                F,
-                Permutation.identity(0),
-            ),
-        )
-        memo[key] = result
-        return result
-    cT = young_symmetrizer(T, n).c
-    anchor = _left_anchor(F, mu)
-    collected: list[Summand] = [Summand(cT * anchor, gen0, Permutation.identity(n - k))]
-    expansion = _expand_canonical(lam, mu, n)
-    for sigma, m in expansion.element.items():
+    weights: dict[YoungTableau, Coeff] = {F: 1}
+    for sigma, m in _expand_canonical(F.shape, _split_shape(F, k), n).element.items():
         if sigma.is_identity():
             continue
-        G = _twist_filling(F, sigma)
-        for d, H in straighten(G, k):
-            delta = _split_shape(H, k)
-            sub = _certificate_summands(H, k, memo)
-            factor = normalize_coeff(Fraction(-1) * m * d / delta.hook_product())
-            for s in sub:
-                collected.append(s.scaled(factor))
-    result = tuple(
-        Summand(left, gen, right)
-        for (gen, right), left in _merge_summands(collected).items()
-        if left
-    )
-    memo[key] = result
-    return result
+        for d, H in straighten(_twist_filling(F, sigma), k):
+            factor = Fraction(-1) * m * d / _split_shape(H, k).hook_product()
+            sub = _split_weights(H, k, memo)
+            _add_into(weights, ((G, factor * w) for G, w in sub.items()))
+    memo[F.rows] = weights
+    return weights
 
 
 # -- partial symmetrization -----------------------------------------------------

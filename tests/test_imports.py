@@ -1,5 +1,6 @@
-"""Every name a module imports is used in that module, and every private
-module-level name is used somewhere in the package.
+"""Every name a module imports is used in that module, every private
+module-level name is used somewhere in the package, and every method is
+named somewhere in the package, its tests or its benchmark.
 
 ``__init__.py`` is left out of the import check: it imports names in order
 to re-export them.
@@ -73,3 +74,52 @@ def test_every_private_name_is_used():
         if not any(name in refs for stmt, refs in references if stmt is not definition)
     ]
     assert unused == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _foreign_modules(tree: ast.Module) -> set[str]:
+    """Names a file binds by importing from outside ysym."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name for a in node.names if a.name.split(".")[0] != "ysym")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] not in ("ysym", "__future__"):
+                names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _method_references(tree: ast.Module) -> set[str]:
+    """Attributes taken, except of modules from outside ysym (the benchmark's
+    ``run.scaled`` is no method of a ysym class), and identifier strings,
+    which name the methods that the benchmark hooks."""
+    foreign = _foreign_modules(tree)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if not (isinstance(node.value, ast.Name) and node.value.id in foreign):
+                names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_method_is_named():
+    # a method that no code calls, hooks or tests is dead code
+    named = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            named |= _method_references(ast.parse(path.read_text(), filename=str(path)))
+    unnamed = [
+        f"{path.name}:{cls.name}.{stmt.name}"
+        for path in PACKAGE
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+        and stmt.name not in named
+    ]
+    assert unnamed == []

@@ -1,5 +1,6 @@
 import pytest
 
+from ysym import sweeps
 from ysym.sweeps import (
     SUITES,
     default_max_n,
@@ -65,3 +66,18 @@ def test_integrality_stats_present():
     num, den = report.stats["integral_fraction"].split("/")
     assert int(den) == report.cases
     assert 0 <= int(num) <= int(den)
+
+
+def test_dn_certificates_count_nonzero_targets(monkeypatch):
+    # a certificate of a zero target verifies at any scale, so a case needs
+    # at least one nonzero target to show anything
+    for n, nonzero in ((2, 12), (3, 226)):
+        r = sweeps.symmetrized_case(("dn-certificates", 2, n))
+        assert r.ok
+        assert r.stats == {"nonzero_targets": nonzero}
+    every = sweeps._dn_fillings
+    zero_only = lambda lam, n, d: [f for f in every(lam, n, d) if f.has_column_repeat()]
+    monkeypatch.setattr(sweeps, "_dn_fillings", zero_only)
+    r = sweeps.symmetrized_case(("dn-certificates", 2, 2))
+    assert not r.ok
+    assert r.stats == {"nonzero_targets": 0}

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,16 +9,22 @@ from hypothesis import given, settings, strategies as st
 from ysym.algebra import AlgebraElement, _group_product_sum
 from ysym.perm import Permutation, all_permutations, star
 from ysym.symmetrizer import _build_symmetrizer, young_symmetrizer
+from ysym.sweeps import _dn_fillings, _split_fillings
 from ysym.tableau import Partition, YoungTableau, partitions, subtableau_fillings
+from ysym import tensor
 from ysym.tensor import (
     Certificate,
+    DnCertificate,
     DnFilling,
     MultiGraph,
+    Summand,
     SymElement,
     Tabloid,
     TensorElement,
     _act_group_sum,
+    _expand_canonical,
     _left_anchor,
+    _push_filling,
     _project_word,
     _split_shape,
     _twist_filling,
@@ -232,6 +240,132 @@ def test_certificate_json_round_trip():
     back = Certificate.from_json(data)
     assert back.verify()
     assert back.to_json() == data
+
+
+def _element_certificate(F, k):
+    """The certificate as the element-valued recursion builds it: every level
+    forms c(T) * anchor, scales each sub-summand and merges the summands by
+    (generator, right) in first-seen order, dropping zero lefts."""
+    n = F.size
+    alpha = _split_shape(F, k).hook_product()
+    if k == n:
+        only = Summand(AlgebraElement.unit(n).scale(alpha), F, Permutation.identity(0))
+        return Certificate(n, k, alpha, F, (only,))
+    memo = {}
+
+    def summands(G):
+        if G.rows in memo:
+            return memo[G.rows]
+        mu = _split_shape(G, k)
+        cT = young_symmetrizer(YoungTableau.canonical(G.shape), n).c
+        collected = [(G.restrict(mu), Permutation.identity(n - k), cT * _left_anchor(G, mu))]
+        for sigma, m in _expand_canonical(G.shape, mu, n).element.items():
+            if sigma.is_identity():
+                continue
+            for d, H in straighten(_twist_filling(G, sigma), k):
+                factor = Fraction(-1) * m * d / _split_shape(H, k).hook_product()
+                collected += [(s.generator, s.right, s.left.scale(factor)) for s in summands(H)]
+        merged = {}
+        for gen, right, left in collected:
+            merged[gen, right] = merged[gen, right] + left if (gen, right) in merged else left
+        result = tuple(Summand(left, g, r) for (g, r), left in merged.items() if left)
+        memo[G.rows] = result
+        return result
+
+    return Certificate(n, k, alpha, F, summands(F))
+
+
+def test_certificate_matches_element_recursion():
+    # scalar weights over split fillings give the same JSON, summand order included
+    count = 0
+    for n in range(1, 6):
+        for lam in partitions(n):
+            for k in range(1, n + 1):
+                for mu in partitions(k, within=lam):
+                    for f in _split_fillings(lam, mu):
+                        got = membership_certificate(f, k).to_json()
+                        assert got == _element_certificate(f, k).to_json(), (str(f), k)
+                        count += 1
+    assert count > 1000
+
+
+def test_lifted_certificate_matches_element_recursion():
+    count = 0
+    for n in (1, 2, 3):
+        for lam in partitions(2 * n):
+            for f in _dn_fillings(lam, n, 2):
+                for k in range(1, n + 1):
+                    try:
+                        cert = symmetrized_membership_certificate(f, k)
+                    except ValueError:
+                        continue
+                    lifted = _element_certificate(f.lift(), 2 * k)
+                    pushed = tuple(
+                        Summand(s.left, _push_filling(s.generator, 2), s.right)
+                        for s in lifted.summands
+                    )
+                    want = DnCertificate(2 * n, 2, k, lifted.scale, f, pushed, lifted)
+                    assert cert.lifted.to_json() == lifted.to_json(), (str(f), k)
+                    assert cert.to_json() == want.to_json(), (str(f), k)
+                    count += 1
+    assert count > 1000
+
+
+DISPLAY = "1,2,3,6/4,5/7"
+
+
+def test_certificate_with_changed_left_fails():
+    cert = membership_certificate(T(DISPLAY), 5)
+    first = cert.summands[0]
+    p, c = next(iter(first.left.items()))
+    bumped = first.left + AlgebraElement.from_perm(p)
+    bad = dataclasses.replace(
+        cert, summands=(dataclasses.replace(first, left=bumped),) + cert.summands[1:]
+    )
+    assert not bad.verify()
+    assert not bad.verify_symmetrizer_form()
+
+
+def test_certificate_with_dropped_summand_fails():
+    cert = membership_certificate(T(DISPLAY), 5)
+    assert len(cert.summands) > 1
+    for i in (0, len(cert.summands) - 1):
+        bad = dataclasses.replace(cert, summands=cert.summands[:i] + cert.summands[i + 1 :])
+        assert not bad.verify()
+        assert not bad.verify_symmetrizer_form()
+
+
+def test_certificate_with_split_summand_verifies():
+    # summands sharing a generator and right factor add up
+    cert = membership_certificate(T(DISPLAY), 5)
+    first = cert.summands[0]
+    half = dataclasses.replace(first, left=first.left.scale(Fraction(1, 2)))
+    split = dataclasses.replace(cert, summands=(half, half) + cert.summands[1:])
+    assert split.verify()
+    assert split.verify_symmetrizer_form()
+    assert Certificate.from_json(split.to_json()).verify()
+
+
+def test_dn_certificate_with_changed_scale_fails():
+    # the graph tabloid of 1-2 1-3: its target does not vanish
+    f = DnFilling.parse("1,1,2,3/2,3", 2)
+    assert not f.realize().is_zero()
+    cert = symmetrized_membership_certificate(f, 2)
+    assert cert.verify()
+    assert not dataclasses.replace(cert, scale=2 * cert.scale).verify()
+
+
+def test_certificate_builds_one_symmetrizer(monkeypatch):
+    # c(T) is applied once per generator, not once per recursion level
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return young_symmetrizer(*args)
+
+    monkeypatch.setattr(tensor, "young_symmetrizer", counting)
+    membership_certificate(T(DISPLAY), 5)
+    assert len(calls) == 1
 
 
 def test_realization_word_is_inverse_reading_word():
