@@ -310,24 +310,33 @@ def _jucys_murphy_factors(
     return factors
 
 
+def _chain(x: AlgebraElement, factors: Iterable[AlgebraElement]) -> AlgebraElement:
+    """x times the factors, left to right, one convolution per factor: the
+    one way to multiply by a product kept as its list of small factors."""
+    return functools.reduce(_mul_full, factors, x)
+
+
+def _group_factors(
+    entry_sets: Iterable[Collection[int]], n: int, signed: bool
+) -> list[AlgebraElement]:
+    """The factors 1 + L_j (signed, 1 - L_j) of a Young-subgroup sum, in order."""
+    unit = AlgebraElement.unit(n)
+    jms = (transposition_sum(x, below, n) for x, below in _jucys_murphy_factors(entry_sets))
+    return [unit - jm if signed else unit + jm for jm in jms]
+
+
 def _group_product_sum(
     entry_sets: Iterable[Collection[int]], n: int, signed: bool
 ) -> AlgebraElement:
     """Sum over the product of the symmetric groups of disjoint entry sets.
 
-    The one builder of a Young-subgroup sum: the rows of a tableau give
-    a(T), its columns b(T), a single set symmetrize_set.  With ``signed``
-    the coefficient of each group element is its sign.  For a set
-    x_1 < ... < x_k the sum is (1 + L_2)...(1 + L_k), signed
-    (1 - L_2)...(1 - L_k), with the Jucys-Murphy element
+    The rows of a tableau give a(T), its columns b(T), a single set
+    symmetrize_set.  With ``signed`` the coefficient of each group element
+    is its sign.  For a set x_1 < ... < x_k the sum is (1 + L_2)...(1 + L_k),
+    signed (1 - L_2)...(1 - L_k), with the Jucys-Murphy element
     L_j = (x_1 x_j) + ... + (x_{j-1} x_j); the sets must be disjoint.
     """
-    unit = AlgebraElement.unit(n)
-    factors = []
-    for x, below in _jucys_murphy_factors(entry_sets):
-        jm = transposition_sum(x, below, n)
-        factors.append(unit - jm if signed else unit + jm)
-    return functools.reduce(_mul_full, factors, unit)
+    return _chain(AlgebraElement.unit(n), _group_factors(entry_sets, n, signed))
 
 
 def _set_sum(entries: Iterable[int], n: int, signed: bool) -> AlgebraElement:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .algebra import AlgebraElement, antisymmetrize_set
+from .algebra import AlgebraElement, _chain, antisymmetrize_set
 from .perm import Permutation, all_permutations
 from .symmetrizer import (
     closed_form_multiplier,
@@ -89,7 +89,7 @@ def idempotence_cases(max_n: int) -> list[tuple]:
 def idempotence_case(args: tuple) -> CaseResult:
     lam = Partition(args[0])
     triple = young_symmetrizer(YoungTableau.canonical(lam), lam.n)
-    ok = triple.c * triple.c == triple.c.scale(lam.hook_product())
+    ok = _chain(triple.c, triple.factors) == triple.c.scale(lam.hook_product())
     return CaseResult("idempotence", str(lam), ok)
 
 

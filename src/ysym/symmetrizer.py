@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import AlgebraElement, Coeff, _group_product_sum, _mul_full, transposition_sum
+from .algebra import AlgebraElement, Coeff, _chain, _group_factors, transposition_sum
 from .perm import Permutation
 from .tableau import (
     BlockDecomposition,
@@ -37,12 +37,17 @@ from .tableau import (
 
 @dataclass(frozen=True)
 class SymmetrizerTriple:
-    """Row symmetrization, signed column antisymmetrization, their product."""
+    """Row symmetrization, signed column antisymmetrization, their product.
+
+    ``factors`` holds the Jucys-Murphy factors 1 + L of a, then 1 - L of b:
+    x * c is ``_chain(x, factors)``, which never convolves x with all of c.
+    """
 
     tableau: YoungTableau
     degree: int
     a_part: AlgebraElement
     b_part: AlgebraElement
+    factors: tuple[AlgebraElement, ...]
 
     @functools.cached_property
     def c(self) -> AlgebraElement:
@@ -71,9 +76,12 @@ def young_symmetrizer(T: YoungTableau, degree: int | None = None) -> Symmetrizer
 def _build_symmetrizer(T: YoungTableau, n: int) -> SymmetrizerTriple:
     rows = [T.row_set(i) for i in range(1, len(T.rows) + 1)]
     cols = [T.column_set(j) for j in range(1, T.shape.part(1) + 1)]
-    a_part = _group_product_sum(rows, n, signed=False)
-    b_part = _group_product_sum(cols, n, signed=True)
-    return SymmetrizerTriple(T, n, a_part, b_part)
+    row_factors = _group_factors(rows, n, signed=False)
+    col_factors = _group_factors(cols, n, signed=True)
+    unit = AlgebraElement.unit(n)
+    return SymmetrizerTriple(
+        T, n, _chain(unit, row_factors), _chain(unit, col_factors), (*row_factors, *col_factors)
+    )
 
 
 @dataclass(frozen=True)
@@ -145,11 +153,6 @@ def _corner_factors(a: int, U: YoungTableau, u: int, v: int, n: int) -> list[Alg
     return _hook_factors(a, blocks_from_column(U, min(v, U.shape.part(1))), u, n)
 
 
-def _chain(alpha: int, factors: list[AlgebraElement], n: int) -> AlgebraElement:
-    """alpha times the product of the factors, left to right."""
-    return functools.reduce(_mul_full, factors, AlgebraElement.unit(n).scale(alpha))
-
-
 def closed_form_multiplier(
     T: YoungTableau, S: YoungTableau, degree: int | None = None
 ) -> ExpansionMultiplier:
@@ -188,7 +191,8 @@ def expand_product(
         factors += _corner_factors(a, U, u, v, n)
     alpha = S.shape.hook_product()
     source = "recursive" if T.size > S.size + 1 else "closed-form"
-    return ExpansionMultiplier(_chain(alpha, factors, n), source, alpha, n)
+    element = _chain(AlgebraElement.unit(n).scale(alpha), factors)
+    return ExpansionMultiplier(element, source, alpha, n)
 
 
 def garnir_zero(
@@ -234,7 +238,7 @@ class CongruenceContext:
         self.corner = (u, v)
         self.entry = a
         self.x_total = transposition_sum(a, right_entries, n)
-        w = young_symmetrizer(T, n).a_part * young_symmetrizer(S, n).c
+        w = _chain(young_symmetrizer(T, n).a_part, young_symmetrizer(S, n).factors)
         chain: list[AlgebraElement] = []
         # Echelon rows, each scaled to coefficient 1 at its pivot, the least
         # permutation of its support by word.
@@ -260,16 +264,6 @@ class CongruenceContext:
         return all((w * d).is_zero() for w in self.chain)
 
 
-_CONTEXT_CACHE_SIZE = 512
-_cached_context = functools.lru_cache(maxsize=_CONTEXT_CACHE_SIZE)(CongruenceContext)
-
-
-def congruence_context(
-    T: YoungTableau, S: YoungTableau, degree: int | None = None
-) -> CongruenceContext:
-    return _cached_context(T, S, T.max_entry() if degree is None else degree)
-
-
 def congruent(
     f: AlgebraElement,
     g: AlgebraElement,
@@ -278,7 +272,7 @@ def congruent(
     v: int | None = None,
 ) -> bool:
     """Whether a(T) * c(S) * X^i annihilates f - g for every power i."""
-    ctx = congruence_context(T, S, f.degree)
+    ctx = CongruenceContext(T, S, f.degree)
     if v is not None and v != ctx.corner[1]:
         raise ValueError(f"column {v} does not match the added cell {ctx.corner}")
     return ctx.congruent(f, g)
@@ -331,8 +325,9 @@ def verify_corner_identities(
     report = IdentityReport(str(T.shape), str(mu))
     unit = AlgebraElement.unit(n)
     cS = young_symmetrizer(S, n).c
-    aT = young_symmetrizer(T, n).a_part
-    aTcS = aT * cS
+    ctx = CongruenceContext(T, S, n)
+    # a(T)a(S) = |R(S)| a(T), so a(T)c(S) is nonzero and heads the chain
+    aTcS = ctx.chain[0]
 
     def z(j: int) -> AlgebraElement:
         return transposition_sum(a, S.column_set(j), n)
@@ -377,11 +372,11 @@ def verify_corner_identities(
     add("block-products", block_product_residuals())
 
     # corner reduction: absorbing (1 - z_v) into the block product
-    lhs = cS * (unit - z(v)) * _chain(1, _corner_factors(a, S, u, v, n), n)
-    add("corner-reduction", [lhs - cS * _chain(1, factors, n)])
+    lhs = _chain(cS * (unit - z(v)), _corner_factors(a, S, u, v, n))
+    add("corner-reduction", [lhs - _chain(cS, factors)])
 
     # corner sandwich: only the first block survives between two symmetrizers
-    first_sandwich = cS * _chain(1, factors[:1], n) * cS
+    first_sandwich = _chain(cS, factors[:1]) * cS
     add("corner-sandwich", [cS * (unit - z(v)) * cS - first_sandwich])
 
     # cyclic sandwich: a cycle through increasing columns collapses or dies
@@ -402,7 +397,7 @@ def verify_corner_identities(
     add("cycle-sandwich", cycle_sandwich_residuals())
 
     # full block sandwich: the whole hook-factor product collapses likewise
-    add("block-sandwich", [cS * _chain(1, factors, n) * cS - first_sandwich] if m else [])
+    add("block-sandwich", [_chain(cS, factors) * cS - first_sandwich] if m else [])
 
     # left-column annihilation for permutations fixing the left of S
     def left_column_residuals():
@@ -437,7 +432,6 @@ def verify_corner_identities(
     add("colsum-commutation", commutation_residuals())
 
     # polynomial sandwich: a c alpha X^t = a c X^t c
-    ctx = congruence_context(T, S, n)
     X = ctx.x_total
     alpha = mu.hook_product()
 
@@ -451,19 +445,13 @@ def verify_corner_identities(
 
     # block polynomials: P_t and Q_t, their base case and congruences
     def poly_P(t: int) -> AlgebraElement:
-        e = unit
-        for i in range(t):
-            e = e * (xs[i] - unit.scale(rs[i]))
-        return e
+        return _chain(unit, [xs[i] - unit.scale(rs[i]) for i in range(t)])
 
     def poly_Q(t: int) -> AlgebraElement:
         xt = x_upto(t)
         cum = list(itertools.accumulate(ls))
-        e = unit
-        for i in range(1, t + 1):
-            s = cum[i - 1] - (hs[i] if i < t else 0)
-            e = e * (xt - unit.scale(s))
-        return e
+        shifts = [cum[i - 1] - (hs[i] if i < t else 0) for i in range(1, t + 1)]
+        return _chain(unit, [xt - unit.scale(s) for s in shifts])
 
     if m:
         add("first-block-polys", [poly_P(1) - (xs[0] - unit.scale(ls[0])), poly_Q(1) - poly_P(1)])

@@ -11,6 +11,7 @@ from ysym.algebra import AlgebraElement
 from ysym.cli import main
 from ysym.symmetrizer import closed_form_multiplier
 from ysym.tableau import Partition, YoungTableau
+from ysym.tensor import DnFilling
 
 
 def run(capsys, argv):
@@ -178,14 +179,17 @@ def test_certificate_split_failure(capsys):
 
 
 def test_certificate_symmetrized(capsys):
+    # a zero target would verify at any scale
+    assert not DnFilling.parse("1,1,2,3/2,3", 2).realize().is_zero()
     code, out, _ = run(
         capsys,
-        ["certificate", "--filling", "1,1,2/2", "--k", "1", "--d", "2", "--check"],
+        ["certificate", "--filling", "1,1,2,3/2,3", "--k", "1", "--d", "2", "--check"],
     )
     assert code == 0
     data = json.loads(out)
     assert data["verified"] is True
     assert data["d"] == 2
+    assert len(data["summands"]) == 2
 
 
 def test_certificate_symmetrized_over_budget(capsys):

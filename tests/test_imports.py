@@ -123,3 +123,30 @@ def test_every_method_is_named():
         and stmt.name not in named
     ]
     assert unnamed == []
+
+
+def _reduce_sites(tree: ast.Module):
+    """The module-level definition around each use of functools.reduce."""
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found = any(a.name == "reduce" for a in node.names)
+            else:
+                found = (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "reduce"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "functools"
+                )
+            if found:
+                yield getattr(stmt, "name", "<module>")
+
+
+def test_one_factor_chain():
+    # every product of a factor list goes through algebra._chain
+    sites = [
+        f"{path.name}:{name}"
+        for path in PACKAGE
+        for name in _reduce_sites(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert sites == ["algebra.py:_chain"]

@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ysym.algebra import AlgebraElement, _mul_full, conjugate, random_element
+from ysym.algebra import AlgebraElement, _chain, _mul_full, conjugate, random_element
 from ysym.perm import Permutation
 from ysym.symmetrizer import (
     CongruenceContext,
     closed_form_multiplier,
-    congruence_context,
     congruent,
     expand_product,
     garnir_zero,
@@ -85,6 +84,34 @@ def test_quasi_idempotence_exhaustive(n):
     for lam in partitions(n):
         triple = young_symmetrizer(YoungTableau.canonical(lam))
         assert triple.c * triple.c == triple.c.scale(lam.hook_product())
+
+
+def test_factor_chain_matches_expanded_products():
+    # the expanded convolution is the oracle for every product by c(S)
+    for t, s in subdiagram_pairs(6):
+        n = t.size
+        ct, ts = young_symmetrizer(t, n).c, young_symmetrizer(s, n)
+        if s == t:
+            assert _chain(AlgebraElement.unit(n), ts.factors) == _mul_full(ts.a_part, ts.b_part)
+        assert _chain(ct, ts.factors) == _mul_full(ct, ts.c)
+
+
+def test_idempotence_case_convolves_small_factors(monkeypatch):
+    # c(7) has 5040 terms; c * c expanded would pair 5040 with 5040
+    from ysym import algebra
+    from ysym.sweeps import idempotence_case
+
+    kernel = algebra._mul_full
+    sizes = []
+
+    def spy(f, g):
+        sizes.append((len(f), len(g)))
+        return kernel(f, g)
+
+    monkeypatch.setattr(algebra, "_mul_full", spy)
+    assert idempotence_case(((7,),)).ok
+    assert sizes
+    assert [pair for pair in sizes if min(pair) > 8] == []
 
 
 def test_equivariance_under_relabeling():
@@ -397,7 +424,7 @@ def test_congruence_first_block_polynomial():
     t = T("1,2/3")
     s = t.restrict(P("2"))
     n = 3
-    ctx = congruence_context(t, s, n)
+    ctx = CongruenceContext(t, s, n)
     a = 3
     from ysym.tableau import blocks_from_column
 
@@ -419,7 +446,7 @@ def test_congruence_block_products_exhaustive():
             for (u, v) in lam.removable_corners():
                 mu = lam.remove_corner(u, v)
                 s = t.restrict(mu)
-                ctx = congruence_context(t, s, n)
+                ctx = CongruenceContext(t, s, n)
                 a = t.entry(u, v)
                 dec = blocks_from_column(s, min(v - 1, mu.part(1)))
                 xs = [transposition_sum(a, b.entries, n) for b in dec]
@@ -432,7 +459,7 @@ def test_congruence_respects_right_multiplication():
     t = T("1,2,3/4,5")
     s = t.restrict(P("3,1"))
     n = 5
-    ctx = congruence_context(t, s, n)
+    ctx = CongruenceContext(t, s, n)
     rng = random.Random(9)
     from ysym.tableau import blocks_from_column
 
@@ -472,7 +499,7 @@ CHAIN_LENGTHS = {
 
 
 def test_congruence_chain_lengths():
-    got = {(t.shape.parts, corner): len(congruence_context(t, s).chain)
+    got = {(t.shape.parts, corner): len(CongruenceContext(t, s).chain)
            for t, s, corner in corner_cases(6)}
     assert got == CHAIN_LENGTHS
 

@@ -477,9 +477,10 @@ def test_dn_zero_on_column_repeat():
 
 
 def test_dn_relabel_invariance_small():
-    f = DnFilling.parse("1,1,2/2", 2)
+    f = DnFilling.parse("1,1,2,3/2,3", 2)
     base = f.realize()
-    for sigma in all_permutations(2):
+    assert len(base.terms) == 15
+    for sigma in all_permutations(3):
         assert f.relabel(sigma).realize() == base
 
 
@@ -661,9 +662,11 @@ def test_graph_tabloid_triangle():
 
 
 def test_dn_membership_certificate_small():
-    # two labels, two copies each: a split four-cell filling
-    f = DnFilling.parse("1,1,2/2", 2)
+    # the graph tabloid of 1-2 1-3, split at one label; its target is nonzero
+    f = DnFilling.parse("1,1,2,3/2,3", 2)
+    assert not f.realize().is_zero()
     cert = symmetrized_membership_certificate(f, 1)
+    assert len(cert.summands) == 2
     assert cert.lifted.verify()
     assert cert.verify()
 
@@ -715,8 +718,9 @@ def test_summand_form_closed_under_ideal_actions():
 
 
 def test_dn_membership_trivial_cutoff():
-    f = DnFilling.parse("1,1,2/2", 2)
-    cert = symmetrized_membership_certificate(f, 2)
+    f = DnFilling.parse("1,1,2,3/2,3", 2)
+    assert not f.realize().is_zero()
+    cert = symmetrized_membership_certificate(f, 3)
     assert cert.verify()
     assert len(cert.summands) == 1
 
