@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 _BYTE_IDENTITY = bytes(range(256))
 
@@ -250,3 +250,18 @@ def star(p: Permutation, q: Permutation) -> Permutation:
 def all_permutations(n: int):
     """All of S_n in lexicographic one-line order."""
     return map(_from_word, itertools.permutations(range(n)))
+
+
+def _permutations_of(points: Iterable[int], n: int) -> Iterator[Permutation]:
+    """Every permutation of {1..n} that moves only ``points``, in
+    lexicographic one-line order.
+
+    Built on ``itertools.permutations`` alone, so the sweeps that sum over
+    these stay independent oracles for the group sums of the algebra.
+    """
+    slots = sorted(p - 1 for p in points)
+    for arr in itertools.permutations(slots):
+        w = list(range(n))
+        for pos, val in zip(slots, arr):
+            w[pos] = val
+        yield _from_word(w)

@@ -9,7 +9,6 @@ case is a picklable tuple so suites can fan out over a process pool.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -17,8 +16,9 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .algebra import AlgebraElement, _chain, antisymmetrize_set
-from .perm import Permutation, all_permutations
+from .perm import _permutations_of, all_permutations
 from .symmetrizer import (
+    ExpansionMultiplier,
     closed_form_multiplier,
     expand_product,
     garnir_zero,
@@ -131,6 +131,29 @@ def corner_product_cases(max_n: int) -> list[tuple]:
     return out
 
 
+def _multiplier_failure(t: YoungTableau, s: YoungTableau, e: ExpansionMultiplier) -> str | None:
+    """Why E is not a multiplier of c(T)c(S), or None when it is.
+
+    c(T)c(S) must equal c(T)E and be nonzero, the identity coefficient of E
+    must be alpha_S, its support must lie in L(T;S), and the sign of each
+    coefficient must be that of its permutation.
+    """
+    ct = young_symmetrizer(t, e.degree).c
+    product = ct * young_symmetrizer(s, e.degree).c
+    if product != ct * e.element:
+        return "product mismatch"
+    if product.is_zero():
+        return "product is zero"
+    if e.identity_coefficient() != s.shape.hook_product():
+        return "identity coefficient"
+    escaped = [p for p in e.element.support() if not in_left_set(p, t, s)]
+    if escaped:
+        return f"support escapes left set: {min(escaped)}"
+    if not e.signs_match_parity():
+        return "sign pattern"
+    return None
+
+
 def corner_product_case(args: tuple) -> CaseResult:
     lam = Partition(args[0])
     (u, v) = args[1]
@@ -140,16 +163,9 @@ def corner_product_case(args: tuple) -> CaseResult:
     s = t.restrict(mu)
     case_id = f"{lam}|corner({u},{v})"
     e = closed_form_multiplier(t, s, n)
-    ct = young_symmetrizer(t, n).c
-    cs = young_symmetrizer(s, n).c
-    if ct * cs != ct * e.element:
-        return CaseResult("corner_product", case_id, False, "product mismatch")
-    if e.identity_coefficient() != mu.hook_product():
-        return CaseResult("corner_product", case_id, False, "identity coefficient")
-    if not e.support_in_left_set(t, s):
-        return CaseResult("corner_product", case_id, False, "support escapes left set")
-    if not e.signs_match_parity():
-        return CaseResult("corner_product", case_id, False, "sign pattern")
+    failure = _multiplier_failure(t, s, e)
+    if failure:
+        return CaseResult("corner_product", case_id, False, failure)
     alpha = mu.hook_product()
     a = t.entry(u, v)
     for p, c in e.element.items():
@@ -198,22 +214,9 @@ def product_expansion_case(args: tuple) -> CaseResult:
     s = t.restrict(mu)
     case_id = f"{lam}|{mu}"
     e = expand_product(t, s, n)
-    ct = young_symmetrizer(t, n).c
-    cs = young_symmetrizer(s, n).c
-    product = ct * cs
-    if product != ct * e.element:
-        return CaseResult("product_expansion", case_id, False, "product mismatch")
-    if product.is_zero():
-        return CaseResult("product_expansion", case_id, False, "product is zero")
-    if e.identity_coefficient() != mu.hook_product():
-        return CaseResult("product_expansion", case_id, False, "identity coefficient")
-    if not e.signs_match_parity():
-        return CaseResult("product_expansion", case_id, False, "sign pattern")
-    for p in e.element.support():
-        if not in_left_set(p, t, s):
-            return CaseResult(
-                "product_expansion", case_id, False, f"support escapes left set: {p}"
-            )
+    failure = _multiplier_failure(t, s, e)
+    if failure:
+        return CaseResult("product_expansion", case_id, False, failure)
     return CaseResult(
         "product_expansion", case_id, True, stats={"integral": e.all_integral()}
     )
@@ -299,12 +302,7 @@ def shuffling_case(args: tuple) -> CaseResult:
                     if not ys or len(xs) + len(ys) <= len(ci):
                         continue
                     total = AlgebraElement.zero(n)
-                    values = sorted(set(xs) | set(ys))
-                    for arr in itertools.permutations(values):
-                        w = list(range(1, n + 1))
-                        for src, dst in zip(values, arr):
-                            w[src - 1] = dst
-                        sigma = Permutation(w)
+                    for sigma in _permutations_of(set(xs) | set(ys), n):
                         total = total + realize_tabloid(f.relabel(sigma)).value.scale(
                             sigma.sign()
                         )
@@ -546,7 +544,7 @@ def _run_one(packed: tuple) -> CaseResult:
 def run_suite(name: str, max_n: int | None = None, jobs: int = 1) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    bound = max_n if max_n is not None else default_max_n(name)
+    bound = max_n if max_n is not None else SUITES[name][0]
     args_list = SUITES[name][1](bound)
     report = SuiteReport(name, bound)
     start = time.perf_counter()
@@ -575,19 +573,6 @@ def run_suite(name: str, max_n: int | None = None, jobs: int = 1) -> SuiteReport
         report.stats["nonintegral_cases"] = nonintegral
     report.elapsed = time.perf_counter() - start
     return report
-
-
-def default_max_n(name: str) -> int:
-    env = os.environ.get("YSYM_MAX_N")
-    if env:
-        try:
-            bound = int(env)
-        except ValueError:
-            raise ValueError(f"YSYM_MAX_N must be an integer, not {env!r}") from None
-        if bound < 1:
-            raise ValueError(f"YSYM_MAX_N must be at least 1, not {bound}")
-        return bound
-    return SUITES[name][0]
 
 
 def run_suites(

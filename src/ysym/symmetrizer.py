@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .algebra import AlgebraElement, Coeff, _chain, _group_factors, transposition_sum
-from .perm import Permutation
+from .perm import Permutation, _permutations_of
 from .tableau import (
     BlockDecomposition,
     YoungTableau,
@@ -64,12 +65,18 @@ class SymmetrizerTriple:
 _SYMMETRIZER_CACHE_SIZE = 4096
 
 
-def young_symmetrizer(T: YoungTableau, degree: int | None = None) -> SymmetrizerTriple:
-    """The Young symmetrizer of T inside the group algebra of S_degree."""
+def _degree(T: YoungTableau, degree: int | None) -> int:
+    """The degree of the group algebra for T: its largest entry by default,
+    and never less."""
     n = T.max_entry() if degree is None else degree
     if T.max_entry() > n:
         raise ValueError(f"tableau entries exceed degree {n}")
-    return _build_symmetrizer(T, n)
+    return n
+
+
+def young_symmetrizer(T: YoungTableau, degree: int | None = None) -> SymmetrizerTriple:
+    """The Young symmetrizer of T inside the group algebra of S_degree."""
+    return _build_symmetrizer(T, _degree(T, degree))
 
 
 @functools.lru_cache(maxsize=_SYMMETRIZER_CACHE_SIZE)
@@ -179,7 +186,7 @@ def expand_product(
     tableaux give alpha_S times the identity and one corner of difference
     the closed formula ("closed-form"); longer chains are "recursive".
     """
-    n = T.max_entry() if degree is None else degree
+    n = _degree(T, degree)
     if not T.has_subtableau(S):
         raise ValueError("S is not a subtableau of T")
     factors: list[AlgebraElement] = []
@@ -202,7 +209,7 @@ def garnir_zero(
 
     Requires i != j, column i no taller than column j, and a in column i.
     """
-    n = T.max_entry() if degree is None else degree
+    n = _degree(T, degree)
     lamc = T.shape.conjugate()
     if i == j:
         raise ValueError("need two distinct columns")
@@ -230,13 +237,11 @@ class CongruenceContext:
     """
 
     def __init__(self, T: YoungTableau, S: YoungTableau, degree: int | None = None):
-        n = T.max_entry() if degree is None else degree
+        n = _degree(T, degree)
         u, v = _added_corner(T, S)
         a = T.entry(u, v)
         right_entries = [e for j in range(v, S.shape.part(1) + 1) for e in S.column_set(j)]
         self.degree = n
-        self.corner = (u, v)
-        self.entry = a
         self.x_total = transposition_sum(a, right_entries, n)
         w = _chain(young_symmetrizer(T, n).a_part, young_symmetrizer(S, n).factors)
         chain: list[AlgebraElement] = []
@@ -257,25 +262,23 @@ class CongruenceContext:
             w = w * self.x_total
         self.chain = chain
 
+    def _residuals(
+        self, pairs: Iterable[tuple[AlgebraElement, AlgebraElement]]
+    ) -> Iterator[AlgebraElement]:
+        """w * (f - g) for each pair (f, g) and each w in the chain: f and g
+        are congruent exactly when every one of these vanishes."""
+        for f, g in pairs:
+            d = f - g
+            for w in self.chain:
+                yield w * d
+
     def congruent(self, f: AlgebraElement, g: AlgebraElement) -> bool:
-        d = f - g
-        if d.is_zero():
-            return True
-        return all((w * d).is_zero() for w in self.chain)
+        return all(r.is_zero() for r in self._residuals([(f, g)]))
 
 
-def congruent(
-    f: AlgebraElement,
-    g: AlgebraElement,
-    T: YoungTableau,
-    S: YoungTableau,
-    v: int | None = None,
-) -> bool:
+def congruent(f: AlgebraElement, g: AlgebraElement, T: YoungTableau, S: YoungTableau) -> bool:
     """Whether a(T) * c(S) * X^i annihilates f - g for every power i."""
-    ctx = CongruenceContext(T, S, f.degree)
-    if v is not None and v != ctx.corner[1]:
-        raise ValueError(f"column {v} does not match the added cell {ctx.corner}")
-    return ctx.congruent(f, g)
+    return CongruenceContext(T, S, f.degree).congruent(f, g)
 
 
 # -- the identity suite for one added corner ---------------------------------
@@ -315,15 +318,19 @@ def verify_corner_identities(
     Covers the column and block product rules, the two corner reductions,
     the cyclic sandwich collapse, left-column annihilation, commutation of
     the full transposition sum, the polynomial sandwich, and the congruence
-    relations between the block polynomials P_t and Q_t.
+    relations between the block polynomials P_t and Q_t.  Each check is a
+    list of residuals that must all vanish; a relation f = g holds under
+    c(S) when c(S) * (f - g) vanishes, and modulo the annihilator chain when
+    every residual of the congruence context does.
     """
-    n = T.max_entry() if degree is None else degree
+    n = _degree(T, degree)
     u, v = _added_corner(T, S)
     a = T.entry(u, v)
     mu = S.shape
     muc = mu.conjugate()
     report = IdentityReport(str(T.shape), str(mu))
     unit = AlgebraElement.unit(n)
+    zero = AlgebraElement.zero(n)
     cS = young_symmetrizer(S, n).c
     ctx = CongruenceContext(T, S, n)
     # a(T)a(S) = |R(S)| a(T), so a(T)c(S) is nonzero and heads the chain
@@ -336,17 +343,18 @@ def verify_corner_identities(
         ok = all(r.is_zero() for r in residuals)
         report.results.append(CheckResult(check_id, str(T.shape), str(mu), ok))
 
-    # column products: z_i z_j collapses onto z_i, z_i^2 is affine in z_i
-    def column_product_residuals():
-        for i in range(1, mu.part(1) + 1):
-            zi = z(i)
-            for j in range(1, mu.part(1) + 1):
-                if i != j and muc.part(i) <= muc.part(j):
-                    yield cS * zi * z(j) - cS * zi
-            hi = muc.part(i)
-            yield cS * zi * zi - cS * (unit.scale(hi) - zi.scale(hi - 1))
+    def under_cS(pairs: Iterable[tuple[AlgebraElement, AlgebraElement]]):
+        return (cS * (f - g) for f, g in pairs)
 
-    add("column-products", column_product_residuals())
+    # column products: z_i z_j collapses onto z_i, z_i^2 is affine in z_i
+    column_relations = []
+    for i in range(1, mu.part(1) + 1):
+        zi, hi = z(i), muc.part(i)
+        for j in range(1, mu.part(1) + 1):
+            if i != j and muc.part(i) <= muc.part(j):
+                column_relations.append((zi * z(j), zi))
+        column_relations.append((zi * zi, unit.scale(hi) - zi.scale(hi - 1)))
+    add("column-products", under_cS(column_relations))
 
     dec = blocks_from_column(S, min(v - 1, mu.part(1)))
     m = len(dec)
@@ -360,16 +368,15 @@ def verify_corner_identities(
         """x_1 + ... + x_t, the blocks being disjoint."""
         return transposition_sum(a, [e for b in dec[:t] for e in b.entries], n)
 
-    # block products: x_i x_j = l_j x_i and x_i^2 = (l_i - h_i) x_i + l_i h_i
-    def block_product_residuals():
-        for i in range(m):
-            for j in range(i):
-                yield cS * xs[i] * xs[j] - (cS * xs[i]).scale(ls[j])
-            yield cS * xs[i] * xs[i] - cS * (
-                xs[i].scale(ls[i] - hs[i]) + unit.scale(ls[i] * hs[i])
-            )
-
-    add("block-products", block_product_residuals())
+    # block products: x_i x_j = l_j x_i and x_i^2 = (l_i - h_i) x_i + l_i h_i,
+    # under c(S) and again modulo the chain
+    block_relations = []
+    for i in range(m):
+        for j in range(i):
+            block_relations.append((xs[i] * xs[j], xs[i].scale(ls[j])))
+        square = xs[i].scale(ls[i] - hs[i]) + unit.scale(ls[i] * hs[i])
+        block_relations.append((xs[i] * xs[i], square))
+    add("block-products", under_cS(block_relations))
 
     # corner reduction: absorbing (1 - z_v) into the block product
     lhs = _chain(cS * (unit - z(v)), _corner_factors(a, S, u, v, n))
@@ -400,48 +407,31 @@ def verify_corner_identities(
     add("block-sandwich", [_chain(cS, factors) * cS - first_sandwich] if m else [])
 
     # left-column annihilation for permutations fixing the left of S
-    def left_column_residuals():
-        fixed = set()
-        for j in range(1, v):
-            fixed.update(S.column_set(j))
-        free = sorted(set(range(1, n + 1)) - fixed)
-        for j in range(1, v):
-            zj = z(j)
-            for arr in itertools.permutations(free):
-                w = list(range(n))
-                for pos, val in zip(free, arr):
-                    w[pos - 1] = val - 1
-                sigma = Permutation(x + 1 for x in w)
-                yield aTcS * sigma * (unit - zj)
+    fixed = set().union(*(S.column_set(j) for j in range(1, v)))
+    add(
+        "left-column-annihilation",
+        (
+            aTcS * sigma * (unit - z(j))
+            for j in range(1, v)
+            for sigma in _permutations_of(set(range(1, n + 1)) - fixed, n)
+        ),
+    )
 
-    add("left-column-annihilation", left_column_residuals())
-
-    # the sum over all columns commutes with the subtableau symmetrizer
+    # the sum over all columns commutes with the subtableau symmetrizer and
+    # with every permutation fixing a
     Z = transposition_sum(a, S.entries, n)
 
     def commutation_residuals():
         yield cS * Z - Z * cS
-        others = [e for e in range(1, n + 1) if e != a]
-        for arr in itertools.permutations(others):
-            w = list(range(n))
-            for pos, val in zip(others, arr):
-                w[pos - 1] = val - 1
-            sigma = Permutation(x + 1 for x in w)
-            yield AlgebraElement.from_perm(sigma) * Z - Z * AlgebraElement.from_perm(sigma)
+        for sigma in _permutations_of(set(range(1, n + 1)) - {a}, n):
+            yield sigma * Z - Z * sigma
 
     add("colsum-commutation", commutation_residuals())
 
-    # polynomial sandwich: a c alpha X^t = a c X^t c
-    X = ctx.x_total
+    # polynomial sandwich: a c alpha X^t = a c X^t c for t < 5
     alpha = mu.hook_product()
-
-    def sandwich_residuals():
-        left = aTcS
-        for _t in range(5):
-            yield left.scale(alpha) - left * cS
-            left = left * X
-
-    add("polynomial-sandwich", sandwich_residuals())
+    powers = itertools.accumulate(itertools.repeat(ctx.x_total, 4), operator.mul, initial=aTcS)
+    add("polynomial-sandwich", (w.scale(alpha) - w * cS for w in powers))
 
     # block polynomials: P_t and Q_t, their base case and congruences
     def poly_P(t: int) -> AlgebraElement:
@@ -458,45 +448,15 @@ def verify_corner_identities(
     else:
         add("first-block-polys", [])
 
-    def congruence_product_ok():
-        for i in range(m):
-            for j in range(i):
-                if not ctx.congruent(xs[i] * xs[j], xs[i].scale(ls[j])):
-                    return False
-            rhs = xs[i].scale(ls[i] - hs[i]) + unit.scale(ls[i] * hs[i])
-            if not ctx.congruent(xs[i] * xs[i], rhs):
-                return False
-        return True
+    add("congruence-products", ctx._residuals(block_relations))
+    add("congruence-pt-qt", ctx._residuals((poly_P(t), poly_Q(t)) for t in range(1, m + 1)))
 
-    report.results.append(
-        CheckResult("congruence-products", str(T.shape), str(mu), congruence_product_ok())
-    )
-
-    def congruence_pt_qt_ok():
+    def annihilation_relations():
         for t in range(1, m + 1):
-            if not ctx.congruent(poly_P(t), poly_Q(t)):
-                return False
-        return True
+            pt, shifted = poly_P(t), x_upto(t) + unit.scale(hs[0])
+            yield pt * shifted, zero
+            yield shifted * pt, zero
 
-    report.results.append(
-        CheckResult("congruence-pt-qt", str(T.shape), str(mu), congruence_pt_qt_ok())
-    )
-
-    def congruence_annihilation_ok():
-        zero = AlgebraElement.zero(n)
-        for t in range(1, m + 1):
-            pt = poly_P(t)
-            shifted = x_upto(t) + unit.scale(hs[0])
-            if not ctx.congruent(pt * shifted, zero):
-                return False
-            if not ctx.congruent(shifted * pt, zero):
-                return False
-        return True
-
-    report.results.append(
-        CheckResult(
-            "congruence-annihilation", str(T.shape), str(mu), congruence_annihilation_ok()
-        )
-    )
+    add("congruence-annihilation", ctx._residuals(annihilation_relations()))
 
     return report

@@ -142,22 +142,24 @@ def test_verify_empty_suite_list(capsys, monkeypatch):
     assert out == ""
 
 
-def test_verify_env_override(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("YSYM_MAX_N", "3")
+def test_verify_max_n_override(capsys, tmp_path):
     out_file = tmp_path / "report.json"
-    code, _, _ = run(capsys, ["verify", "--suites", "idempotence", "--out", str(out_file)])
+    code, _, _ = run(
+        capsys, ["verify", "--suites", "idempotence", "--max-n", "3", "--out", str(out_file)]
+    )
     assert code == 0
     report = json.loads(out_file.read_text())
     assert report["suites"][0]["max_n"] == 3
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "abc"])
-def test_verify_env_bound_rejected(capsys, monkeypatch, value):
-    monkeypatch.setenv("YSYM_MAX_N", value)
-    code, _, err = run(capsys, ["verify", "--suites", "garnir"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_verify_max_n_rejected(capsys, monkeypatch, value):
+    from ysym import cli
+
+    monkeypatch.setattr(cli, "run_suites", lambda *args: pytest.fail("a suite ran"))
+    code, _, err = run(capsys, ["verify", "--suites", "garnir", "--max-n", value])
     assert code == 2
-    assert "YSYM_MAX_N" in err
-    assert "PASS" not in err
+    assert "--max-n must be at least 1" in err
 
 
 def test_certificate_with_check(capsys):

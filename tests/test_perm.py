@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ysym.algebra import symmetrize_set
-from ysym.perm import Permutation, all_permutations, star
+from ysym.perm import Permutation, _permutations_of, all_permutations, star
 from ysym.tableau import YoungTableau
 from ysym.tensor import membership_certificate
 
@@ -187,3 +187,12 @@ def test_cycles_listing():
     assert p.cycles() == [(1, 2, 3), (4, 5)]
     assert p.cycles(include_fixed=True) == [(1, 2, 3), (4, 5), (6,)]
     assert p.moved_points() == frozenset({1, 2, 3, 4, 5})
+
+
+def test_permutations_of_subset_is_filtered_symmetric_group():
+    for n in range(6):
+        group = list(all_permutations(n))
+        for r in range(n + 1):
+            for points in itertools.combinations(range(1, n + 1), r):
+                expected = [p for p in group if p.moved_points() <= set(points)]
+                assert list(_permutations_of(points, n)) == expected

@@ -3,7 +3,6 @@ import pytest
 from ysym import sweeps
 from ysym.sweeps import (
     SUITES,
-    default_max_n,
     run_suite,
     run_suites,
 )
@@ -38,11 +37,11 @@ def test_run_suites_aggregates():
     assert all(s["ok"] for s in report["suites"])
 
 
-def test_env_var_overrides_default(monkeypatch):
-    monkeypatch.delenv("YSYM_MAX_N", raising=False)
-    assert default_max_n("idempotence") == 7
-    monkeypatch.setenv("YSYM_MAX_N", "4")
-    assert default_max_n("idempotence") == 4
+def test_default_bound_is_the_suite_default():
+    assert SUITES["idempotence"][0] == 7
+    report = run_suite("garnir")
+    assert report.max_n == SUITES["garnir"][0] == 6
+    assert report.ok
 
 
 def test_empty_suite_is_not_a_pass():

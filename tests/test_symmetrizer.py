@@ -168,6 +168,33 @@ def test_symmetrizer_degree_limit():
         young_symmetrizer(T("1"), 257)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t, s: young_symmetrizer(t, 2),
+        lambda t, s: expand_product(t, t, 1),
+        lambda t, s: expand_product(t, s, 2),
+        lambda t, s: closed_form_multiplier(t, s, 2),
+        lambda t, s: garnir_zero(t, 2, 1, 2, 2),
+        lambda t, s: CongruenceContext(t, s, 2),
+        lambda t, s: verify_corner_identities(t, s, 2),
+    ],
+    ids=[
+        "young_symmetrizer",
+        "expand_product_equal",
+        "expand_product",
+        "closed_form_multiplier",
+        "garnir_zero",
+        "CongruenceContext",
+        "verify_corner_identities",
+    ],
+)
+def test_degree_below_largest_entry_rejected(call):
+    t = T("1,2/3")
+    with pytest.raises(ValueError, match="tableau entries exceed degree"):
+        call(t, t.restrict(P("2")))
+
+
 def test_transposition_sum_values():
     assert transposition_sum(3, [], 5).is_zero()
     x = transposition_sum(9, [2, 3, 6, 7], 9)
@@ -504,15 +531,6 @@ def test_congruence_chain_lengths():
     assert got == CHAIN_LENGTHS
 
 
-def test_congruent_v_argument_checked():
-    t = T("1,2/3")
-    s = t.restrict(P("2"))
-    f = AlgebraElement.unit(3)
-    assert congruent(f, f, t, s, v=1)
-    with pytest.raises(ValueError):
-        congruent(f, f, t, s, v=2)
-
-
 def test_corner_identity_suite_smallest_cases():
     rep = verify_corner_identities(T("1,2/3"), T("1,2/3").restrict(P("2")))
     assert rep.ok, [r.line() for r in rep.results if not r.ok]
@@ -531,6 +549,53 @@ def test_corner_identity_suite_exhaustive(n):
             continue
         rep = verify_corner_identities(t, s, n)
         assert rep.ok, "\n".join(rep.lines())
+
+
+CHECK_IDS = [
+    "column-products",
+    "block-products",
+    "corner-reduction",
+    "corner-sandwich",
+    "cycle-sandwich",
+    "block-sandwich",
+    "left-column-annihilation",
+    "colsum-commutation",
+    "polynomial-sandwich",
+    "first-block-polys",
+    "congruence-products",
+    "congruence-pt-qt",
+    "congruence-annihilation",
+]
+
+
+def test_every_corner_identity_check_evaluates_residuals(monkeypatch):
+    # two blocks and v = 2, so no check of the suite is vacuous here
+    from ysym import symmetrizer
+
+    lam = P("3,2,2")
+    t = YoungTableau.canonical(lam)
+    s = t.restrict(lam.remove_corner(3, 2))
+    evaluated = []  # is_zero calls between consecutive CheckResults
+    calls = 0
+    is_zero, check_result = AlgebraElement.is_zero, symmetrizer.CheckResult
+
+    def counting_is_zero(self):
+        nonlocal calls
+        calls += 1
+        return is_zero(self)
+
+    def counting_check_result(*args):
+        nonlocal calls
+        evaluated.append(calls)
+        calls = 0
+        return check_result(*args)
+
+    monkeypatch.setattr(AlgebraElement, "is_zero", counting_is_zero)
+    monkeypatch.setattr(symmetrizer, "CheckResult", counting_check_result)
+    rep = verify_corner_identities(t, s)
+    assert rep.ok, rep.lines()
+    assert [r.check_id for r in rep.results] == CHECK_IDS
+    assert len(evaluated) == len(CHECK_IDS) and all(evaluated), evaluated
 
 
 def test_report_lines_format():
