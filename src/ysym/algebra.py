@@ -5,6 +5,13 @@ package is checked in: a finite map from permutations of {1..n} to nonzero
 rational coefficients.  All arithmetic is exact; equality is exact map
 equality and there is no tolerance parameter anywhere.
 
+The keys are plain ``bytes``: the 0-based one-line word of each
+permutation, the value a :class:`Permutation` holds.  A Permutation hashes
+and compares like its word, so ``coeff(p)`` and equality take either.
+Products compose and gather these words in C and build no Permutation;
+``items()``, ``support()``, ``repr`` and the JSON form build one per term,
+at the edge.
+
 Coefficients are stored as ``int`` whenever the denominator is 1 and as
 ``fractions.Fraction`` otherwise.  Python compares and hashes the two
 consistently.  The convolution kernel scales each operand to integer
@@ -18,6 +25,8 @@ import functools
 import itertools
 import json
 import math
+import operator
+import struct
 from collections import Counter
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Union
@@ -67,12 +76,12 @@ class AlgebraElement:
     __slots__ = ("degree", "_terms")
 
     degree: int
-    _terms: dict[Permutation, Coeff]
+    _terms: dict[bytes, Coeff]
 
     def __init__(self, degree: int, terms: Mapping[Permutation, Coeff] | None = None):
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        clean: dict[Permutation, Coeff] = {}
+        clean: dict[bytes, Coeff] = {}
         if terms:
             for p, c in terms.items():
                 if p.degree != degree:
@@ -81,13 +90,14 @@ class AlgebraElement:
                     )
                 c = normalize_coeff(c)
                 if c:
-                    clean[p] = c
+                    clean[bytes(p)] = c
         self.degree = degree
         self._terms = clean
 
     @classmethod
-    def _make(cls, degree: int, terms: dict[Permutation, Coeff]) -> "AlgebraElement":
-        """Trusted constructor: terms already pruned and degree-checked."""
+    def _make(cls, degree: int, terms: dict[bytes, Coeff]) -> "AlgebraElement":
+        """Trusted constructor: terms already pruned and degree-checked, each
+        key a plain bytes word, never mutated afterwards."""
         el = object.__new__(cls)
         el.degree = degree
         el._terms = terms
@@ -101,20 +111,20 @@ class AlgebraElement:
 
     @staticmethod
     def unit(degree: int) -> "AlgebraElement":
-        return AlgebraElement._make(degree, {Permutation.identity(degree): 1})
+        return AlgebraElement._make(degree, {bytes(Permutation.identity(degree)): 1})
 
     @staticmethod
     def from_perm(p: Permutation, coeff: Coeff = 1) -> "AlgebraElement":
         coeff = normalize_coeff(coeff)
-        return AlgebraElement._make(p.degree, {p: coeff} if coeff else {})
+        return AlgebraElement._make(p.degree, {bytes(p): coeff} if coeff else {})
 
     # -- inspection --------------------------------------------------------
 
-    def items(self):
-        return self._terms.items()
+    def items(self) -> list[tuple[Permutation, Coeff]]:
+        return list(zip(map(_from_word, self._terms), self._terms.values()))
 
     def support(self) -> frozenset[Permutation]:
-        return frozenset(self._terms)
+        return frozenset(map(_from_word, self._terms))
 
     def coeff(self, p: Permutation) -> Coeff:
         return self._terms.get(p, 0)
@@ -139,8 +149,8 @@ class AlgebraElement:
         if not self._terms:
             return f"AlgebraElement(S_{self.degree}, 0)"
         bits = []
-        for p, c in sorted(self._terms.items()):
-            bits.append(f"{coeff_to_str(c)}*{p.cycle_string()}")
+        for w, c in sorted(self._terms.items()):
+            bits.append(f"{coeff_to_str(c)}*{_from_word(w).cycle_string()}")
             if len(bits) == 6 and len(self._terms) > 6:
                 bits.append(f"... {len(self._terms)} terms")
                 break
@@ -167,9 +177,16 @@ class AlgebraElement:
         return AlgebraElement._make(self.degree, _add_into(dict(self._terms), negated))
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement._make(self.degree, {p: -c for p, c in self._terms.items()})
+        negated = map(operator.neg, self._terms.values())
+        return AlgebraElement._make(self.degree, dict(zip(self._terms, negated)))
 
     def scale(self, a: Coeff) -> "AlgebraElement":
+        """a times self; scaling by 1 returns self, which is safe because no
+        element is mutated after it is made."""
+        if a == 1:
+            return self
+        if a == -1:
+            return -self
         a = normalize_coeff(a)
         if not a:
             return AlgebraElement.zero(self.degree)
@@ -187,10 +204,7 @@ class AlgebraElement:
         if isinstance(other, Permutation):
             if other.degree != self.degree:
                 raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-            return AlgebraElement._make(
-                self.degree,
-                {_from_word(other.translate(_table(p))): c for p, c in self._terms.items()},
-            )
+            return _times_perm(self, other)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -199,10 +213,7 @@ class AlgebraElement:
         if isinstance(other, Permutation):
             if other.degree != self.degree:
                 raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-            table = _table(other)
-            return AlgebraElement._make(
-                self.degree, {_from_word(p.translate(table)): c for p, c in self._terms.items()}
-            )
+            return _perm_times(other, self)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -214,7 +225,7 @@ class AlgebraElement:
         return {
             "degree": self.degree,
             "terms": [
-                {"perm": list(p.word), "coeff": coeff_to_str(c)} for p, c in terms
+                {"perm": [v + 1 for v in w], "coeff": coeff_to_str(c)} for w, c in terms
             ],
         }
 
@@ -237,11 +248,42 @@ class AlgebraElement:
         return AlgebraElement.from_json(json.loads(s))
 
 
-def _integer_groups(f: AlgebraElement) -> tuple[int, dict[int, list[Permutation]]]:
+def _split_words(buf: bytes | bytearray, like: AlgebraElement) -> AlgebraElement:
+    """The element whose words lie back to back in buf, each as long as the
+    degree of ``like``, carrying the coefficients of ``like`` in key order.
+
+    One ``struct`` call cuts every word; the Struct is built per call and
+    not cached, since its size grows with the number of words.
+    """
+    terms = like._terms
+    words = struct.Struct(f"{like.degree}s" * len(terms)).unpack(buf)
+    return AlgebraElement._make(like.degree, dict(zip(words, terms.values())))
+
+
+def _times_perm(x: AlgebraElement, rho: Permutation) -> AlgebraElement:
+    """x * rho.  Letter i of the word of p * rho is letter rho(i) of p's, so
+    with every word of x joined into one buffer, n strided slice copies
+    gather all the composed words at once."""
+    n = x.degree
+    if not n:
+        return x  # S_0 holds only the identity
+    buf = bytearray().join(x._terms)
+    out = bytearray(len(buf))
+    for i, r in enumerate(rho):
+        out[i::n] = buf[r::n]
+    return _split_words(out, x)
+
+
+def _perm_times(rho: Permutation, x: AlgebraElement) -> AlgebraElement:
+    """rho * x: one translation of the joined words of x by rho."""
+    return _split_words(b"".join(x._terms).translate(_table(rho)), x)
+
+
+def _integer_groups(f: AlgebraElement) -> tuple[int, dict[int, list[bytes]]]:
     """f scaled to integers: the lcm d of its denominators, and for each
-    integer coefficient d*c the permutations that carry it."""
+    integer coefficient d*c the words that carry it."""
     den = math.lcm(*{c.denominator for c in f._terms.values()})
-    groups: dict[int, list[Permutation]] = {}
+    groups: dict[int, list[bytes]] = {}
     for p, c in f._terms.items():
         groups.setdefault(c.numerator * (den // c.denominator), []).append(p)
     return den, groups
@@ -253,7 +295,8 @@ def _mul_full(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     Every one of the |f|*|g| compositions is formed, in C: a word of f
     becomes a 256-byte translation table, so p*q is ``q.translate(p)``, and
     a Counter counts the composed words of each pair of coefficient groups.
-    Coefficients meet only once per distinct result word and coefficient.
+    Coefficients meet only once per distinct result word and coefficient,
+    and the result words are the keys as they come.
     """
     fden, groups = _integer_groups(f)
     gden, words = _integer_groups(g)
@@ -271,10 +314,10 @@ def _mul_full(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
         for w, m in counter.items():
             acc[w] = acc_get(w, 0) + k * m
     den = fden * gden
-    terms: dict[Permutation, Coeff] = {}
+    terms: dict[bytes, Coeff] = {}
     for w, c in acc.items():
         if c:
-            terms[_from_word(w)] = c // den if c % den == 0 else Fraction(c, den)
+            terms[w] = c // den if c % den == 0 else Fraction(c, den)
     return AlgebraElement._make(f.degree, terms)
 
 
@@ -288,9 +331,9 @@ def transposition_sum(a: int, entries: Iterable[int], n: int) -> AlgebraElement:
     bs = sorted(set(entries))
     if a in bs:
         raise ValueError(f"{a} may not appear in its own transposition sum")
-    terms: dict[Permutation, Coeff] = {}
+    terms: dict[bytes, Coeff] = {}
     for b in bs:
-        terms[Permutation.transposition(a, b, n)] = 1
+        terms[bytes(Permutation.transposition(a, b, n))] = 1
     return AlgebraElement._make(n, terms)
 
 

@@ -242,9 +242,15 @@ def star(p: Permutation, q: Permutation) -> Permutation:
     The first n points follow p; the remaining m points follow q shifted
     up by n.
     """
-    shift = _BYTE_IDENTITY[len(p) :] + _BYTE_IDENTITY[: len(p)]
-    # letters past 255 wrap around, but the word is then too long to build
-    return _from_word(bytes.__add__(p, q.translate(shift)))
+    return _from_word(bytes.__add__(p, _shifted(q, len(p))))
+
+
+def _shifted(q: bytes, n: int) -> bytes:
+    """The word of q with every letter raised by n: the right half of the
+    star product of a word of length n with q."""
+    if n + len(q) > 256:
+        raise ValueError(f"degree {n + len(q)} exceeds 256, the largest a byte word holds")
+    return q.translate(_BYTE_IDENTITY[n:] + _BYTE_IDENTITY[:n])
 
 
 def all_permutations(n: int):

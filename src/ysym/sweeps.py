@@ -287,8 +287,9 @@ def shuffling_case(args: tuple) -> CaseResult:
         ]
     for f in fillings:
         base = realize_tabloid(f).value
+        signed = {1: base, -1: -base}
         for sigma, sign in column_group(f):
-            if realize_tabloid(f.relabel(sigma)).value != base.scale(sign):
+            if realize_tabloid(f.relabel(sigma)).value != signed[sign]:
                 return CaseResult(
                     "shuffling", case_id, False, f"sign rule at {f} sigma={sigma}"
                 )

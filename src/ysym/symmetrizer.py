@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,11 +30,30 @@ from .algebra import AlgebraElement, Coeff, _chain, _group_factors, transpositio
 from .perm import Permutation, _permutations_of
 from .tableau import (
     BlockDecomposition,
+    Partition,
     YoungTableau,
     blocks_from_column,
     in_left_set,
     rightmost_corner_outside,
 )
+
+
+# The largest |R(T)| * |C(T)|, row group order times column group order,
+# that is ever expanded.  c(T) has that many terms (8! at idempotence
+# --max-n 8), and a lifted d-regular certificate works with the c(T) of the
+# lift and its products; the 12-cell display filling 1,1,1,2,3,4,4/2,2,3,3,4
+# (19,353,600 pairs) ran out of memory at 1.4 GB.
+_PAIR_BUDGET = math.factorial(8)
+
+
+def _check_pair_budget(shape: Partition, what: str) -> None:
+    """Refuse, with ValueError, a shape whose |R| * |C| exceeds _PAIR_BUDGET."""
+    pairs = shape.factorial() * shape.conjugate().factorial()
+    if pairs > _PAIR_BUDGET:
+        raise ValueError(
+            f"shape {shape} has |R|*|C| = {pairs} group pairs, above the {what} "
+            f"budget of {_PAIR_BUDGET}"
+        )
 
 
 @dataclass(frozen=True)
@@ -42,18 +62,32 @@ class SymmetrizerTriple:
 
     ``factors`` holds the Jucys-Murphy factors 1 + L of a, then 1 - L of b:
     x * c is ``_chain(x, factors)``, which never convolves x with all of c.
+    a, b and c are formed on first use: many callers need only the factors.
     """
 
     tableau: YoungTableau
     degree: int
-    a_part: AlgebraElement
-    b_part: AlgebraElement
     factors: tuple[AlgebraElement, ...]
+
+    def _row_factor_count(self) -> int:
+        # a row of k entries contributes k - 1 factors
+        return self.tableau.size - len(self.tableau.rows)
+
+    @functools.cached_property
+    def a_part(self) -> AlgebraElement:
+        unit = AlgebraElement.unit(self.degree)
+        return _chain(unit, self.factors[: self._row_factor_count()])
+
+    @functools.cached_property
+    def b_part(self) -> AlgebraElement:
+        unit = AlgebraElement.unit(self.degree)
+        return _chain(unit, self.factors[self._row_factor_count() :])
 
     @functools.cached_property
     def c(self) -> AlgebraElement:
-        """The Young symmetrizer a*b, formed on first use: some callers need
-        only a and b, and c has up to |R(T)|*|C(T)| terms."""
+        """The Young symmetrizer a*b, with up to |R(T)|*|C(T)| terms; a shape
+        above _PAIR_BUDGET is refused before anything is built."""
+        _check_pair_budget(self.tableau.shape, "symmetrizer")
         return self.a_part * self.b_part
 
     @property
@@ -83,12 +117,8 @@ def young_symmetrizer(T: YoungTableau, degree: int | None = None) -> Symmetrizer
 def _build_symmetrizer(T: YoungTableau, n: int) -> SymmetrizerTriple:
     rows = [T.row_set(i) for i in range(1, len(T.rows) + 1)]
     cols = [T.column_set(j) for j in range(1, T.shape.part(1) + 1)]
-    row_factors = _group_factors(rows, n, signed=False)
-    col_factors = _group_factors(cols, n, signed=True)
-    unit = AlgebraElement.unit(n)
-    return SymmetrizerTriple(
-        T, n, _chain(unit, row_factors), _chain(unit, col_factors), (*row_factors, *col_factors)
-    )
+    factors = (*_group_factors(rows, n, signed=False), *_group_factors(cols, n, signed=True))
+    return SymmetrizerTriple(T, n, factors)
 
 
 @dataclass(frozen=True)
@@ -247,7 +277,7 @@ class CongruenceContext:
         chain: list[AlgebraElement] = []
         # Echelon rows, each scaled to coefficient 1 at its pivot, the least
         # permutation of its support by word.
-        basis: list[tuple[Permutation, AlgebraElement]] = []
+        basis: list[tuple[bytes, AlgebraElement]] = []
         while True:
             reduced = w
             for pivot, row in basis:
@@ -256,7 +286,7 @@ class CongruenceContext:
                     reduced = reduced - row.scale(c)
             if not reduced:
                 break
-            pivot = min(reduced.support())
+            pivot = min(reduced._terms)
             basis.append((pivot, reduced.scale(Fraction(1, reduced.coeff(pivot)))))
             chain.append(w)
             w = w * self.x_total

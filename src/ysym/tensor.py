@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,18 +31,18 @@ from .algebra import (
     coeff_to_str,
     normalize_coeff,
 )
-from .perm import Permutation, _from_word, _parity_of_word
+from .perm import Permutation, _from_word, _parity_of_word, _shifted
 from .perm import star as perm_star
-from .symmetrizer import expand_product, young_symmetrizer
+from .symmetrizer import _check_pair_budget, expand_product, young_symmetrizer
 from .tableau import Partition, YoungTableau
 
 
 def star_algebra(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the star product to algebra elements."""
-    terms: dict[Permutation, Coeff] = {}
-    for p, cp in f.items():
-        for q, cq in g.items():
-            terms[perm_star(p, q)] = normalize_coeff(cp * cq)
+    shifted = [(_shifted(q, f.degree), cq) for q, cq in g._terms.items()]
+    terms = {
+        p + q: normalize_coeff(cp * cq) for p, cp in f._terms.items() for q, cq in shifted
+    }
     return AlgebraElement._make(f.degree + g.degree, terms)
 
 
@@ -189,19 +188,34 @@ def _exchange_representatives(
                 yield p, p.sign()
 
 
+# The most work-list entries one straightening may process.  The largest
+# count seen is 515, for 6,4,1/8,5,3/7,2 at k = 5, the worst of 158,921
+# random fillings at n = 8; a filling needing more than this is refused
+# instead of letting the work list grow without bound.
+_STRAIGHTEN_STEP_BUDGET = 100_000
+
+
 def straighten(F: YoungTableau, k: int) -> list[tuple[Coeff, YoungTableau]]:
     """Rewrite a filling as split fillings: entries <= k forming a diagram.
 
     Returns pairs (coeff, H) with realize(F) = sum coeff * realize(H); every
     H is column sorted, its distinguished entries form a subdiagram, and no
-    distinguished entry ever moves right of where F put it.
+    distinguished entry ever moves right of where F put it.  Raises
+    ``ValueError`` after _STRAIGHTEN_STEP_BUDGET work-list entries.
     """
     n = F.size
     if F.entries != frozenset(range(1, n + 1)):
         raise ValueError("straightening needs a filling by exactly {1..n}")
     out: dict[YoungTableau, Coeff] = {}
     work: list[tuple[Coeff, YoungTableau]] = [(1, F)]
+    steps = 0
     while work:
+        steps += 1
+        if steps > _STRAIGHTEN_STEP_BUDGET:
+            raise ValueError(
+                f"straightening {F} at k={k} exceeds the budget of "
+                f"{_STRAIGHTEN_STEP_BUDGET} steps"
+            )
         c, cur = work.pop()
         sign, cur = _column_sorted_with_sign(cur, k)
         c = normalize_coeff(c * sign)
@@ -366,10 +380,10 @@ def membership_certificate(F: YoungTableau, k: int) -> Certificate:
     if k == n:
         only = Summand(AlgebraElement.unit(n).scale(alpha), F, Permutation.identity(0))
         return Certificate(n, k, alpha, F, (only,))
-    anchors: dict[YoungTableau, dict[Permutation, Coeff]] = {}
+    anchors: dict[YoungTableau, dict[bytes, Coeff]] = {}
     for H, w in _split_weights(F, k, {}).items():
         delta = _split_shape(H, k)
-        _add_into(anchors.setdefault(H.restrict(delta), {}), [(_left_anchor(H, delta), w)])
+        _add_into(anchors.setdefault(H.restrict(delta), {}), [(bytes(_left_anchor(H, delta)), w)])
     cT = young_symmetrizer(YoungTableau.canonical(F.shape), n).c
     right = Permutation.identity(n - k)
     lefts = ((gen, cT * AlgebraElement._make(n, x)) for gen, x in anchors.items())
@@ -541,7 +555,7 @@ class SymElement:
             f = AlgebraElement.from_perm(f)
         pairs = (
             (tuple(sorted(tuple(sorted(p[v - 1] + 1 for v in blk)) for blk in key)), cp * c)
-            for p, cp in f.items()
+            for p, cp in f._terms.items()
             for key, c in self.terms.items()
         )
         return SymElement._make(self.degree, self.d, _add_into({}, pairs))
@@ -564,7 +578,7 @@ def project_sym(x: TensorElement | AlgebraElement, d: int) -> SymElement:
     value = x.value if isinstance(x, TensorElement) else x
     if value.degree % d:
         raise ValueError(f"degree {value.degree} not divisible by {d}")
-    pairs = ((_project_word(p, d), c) for p, c in value.items())
+    pairs = ((_project_word(w, d), c) for w, c in value._terms.items())
     return SymElement._make(value.degree, d, _add_into({}, pairs))
 
 
@@ -831,29 +845,17 @@ def _push_filling(gen: YoungTableau, d: int) -> DnFilling:
     )
 
 
-# The largest |R(lambda)| * |C(lambda)| whose lifted certificate is built.
-# The lift lives in degree d*n, where certifying works with c(T) and its
-# products, up to that many terms each; the 12-cell display filling
-# 1,1,1,2,3,4,4/2,2,3,3,4 (19,353,600 pairs) ran out of memory at 1.4 GB.
-_LIFTED_CERTIFICATE_BUDGET = math.factorial(8)
-
-
 def symmetrized_membership_certificate(F: DnFilling, k: int) -> DnCertificate:
     """Certificate for a d-regular tabloid: lift, certify, project.
 
     Requires the cells labeled 1..k to fill a subdiagram.  Generators are
     d-regular fillings on the labels 1..k.  A shape with more than
-    _LIFTED_CERTIFICATE_BUDGET row-by-column group pairs is refused with
+    ``symmetrizer._PAIR_BUDGET`` row-by-column group pairs is refused with
     ``ValueError`` before anything is lifted.
     """
     if not (1 <= k <= F.n):
         raise ValueError(f"cutoff {k} out of range 1..{F.n}")
-    pairs = F.shape.factorial() * F.shape.conjugate().factorial()
-    if pairs > _LIFTED_CERTIFICATE_BUDGET:
-        raise ValueError(
-            f"shape {F.shape} has |R|*|C| = {pairs} group pairs, above the lifted "
-            f"certificate budget of {_LIFTED_CERTIFICATE_BUDGET}"
-        )
+    _check_pair_budget(F.shape, "lifted certificate")
     lifted = F.lift()
     base = membership_certificate(lifted, k * F.d)
     summands = tuple(

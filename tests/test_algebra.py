@@ -122,8 +122,8 @@ def test_kernel_degree_limit():
 @settings(max_examples=60, deadline=None)
 @given(_kernel_operands())
 def test_every_key_is_a_permutation(operands):
-    # a Permutation equals its plain bytes word, so only the key type shows
-    # a word that was stored without being made a Permutation
+    # elements key their terms by plain bytes words; items() must still
+    # hand out a Permutation for each, whichever operation made the element
     f, g = operands
     n = f.degree
     p = Permutation(range(n, 0, -1))
@@ -416,3 +416,131 @@ def test_scalar_and_perm_multiplication():
     h = t * f
     assert h.coeff(t * t) == 2
     assert h.coeff(t * c) == Fraction(1, 2)
+
+
+def _composed_term_by_term(x, p, right):
+    """x * p (right) or p * x, one Permutation product per term: the oracle
+    for the gathered element-by-permutation actions."""
+    return AlgebraElement(x.degree, {(q * p if right else p * q): c for q, c in x.items()})
+
+
+@pytest.mark.parametrize("n", list(range(8)))
+def test_permutation_actions_match_per_term_composition(n):
+    rng = random.Random(100 + n)
+    perms = [Permutation.identity(n)] + [
+        Permutation(rng.sample(range(1, n + 1), n)) for _ in range(3)
+    ]
+    elements = [
+        AlgebraElement.zero(n),
+        AlgebraElement(n, {p: rng.randint(-5, 5) for p in perms}),
+        random_element(n, 12, rng),
+        symmetrize_set(range(1, n + 1), n),
+        antisymmetrize_set(range(1, n + 1), n).scale(Fraction(-2, 3)),
+    ]
+    for x in elements:
+        for p in perms:
+            right, left = x * p, p * x
+            as_element = AlgebraElement.from_perm(p)
+            assert right == _composed_term_by_term(x, p, True) == _mul_full(x, as_element)
+            assert left == _composed_term_by_term(x, p, False) == _mul_full(as_element, x)
+            # each coefficient is carried over as it is, int or Fraction
+            coeffs = sorted(map(repr, x._terms.values()))
+            assert sorted(map(repr, right._terms.values())) == coeffs
+            assert sorted(map(repr, left._terms.values())) == coeffs
+        other = Permutation.identity(n + 1)
+        with pytest.raises(ValueError, match="degree mismatch"):
+            x * other
+        with pytest.raises(ValueError, match="degree mismatch"):
+            other * x
+
+
+def test_elements_built_from_permutations_equal_products():
+    # words made by products and Permutation keys given by a caller meet in
+    # one dict: equality, coeff and JSON see no difference
+    n = 5
+    x = symmetrize_set([1, 2, 4], n).scale(Fraction(3, 2)) * Permutation([2, 3, 4, 5, 1])
+    built = AlgebraElement(n, dict(x.items()))
+    assert built == x and x == built
+    assert AlgebraElement.from_json(x.to_json()) == x
+    assert AlgebraElement.loads(x.dumps()) == x
+    for p, c in built.items():
+        assert x.coeff(p) == c
+    assert built - x == AlgebraElement.zero(n)
+    assert x * AlgebraElement.unit(n) == built == AlgebraElement.unit(n) * built
+
+
+def test_product_results_keep_their_text_forms():
+    x = symmetrize_set([1, 3], 3).scale(Fraction(2, 3)) - antisymmetrize_set([2, 3], 3)
+    p = Permutation([2, 3, 1])
+    right, left = x * p, p * x
+    assert repr(right) == "AlgebraElement(S_3, 2/3*(1 2)(3) + -1/3*(1 2 3) + 1*(1 3)(2))"
+    assert right.to_json() == {
+        "degree": 3,
+        "terms": [
+            {"perm": [2, 1, 3], "coeff": "2/3"},
+            {"perm": [2, 3, 1], "coeff": "-1/3"},
+            {"perm": [3, 2, 1], "coeff": "1"},
+        ],
+    }
+    assert repr(left) == "AlgebraElement(S_3, 2/3*(1)(2 3) + 1*(1 2)(3) + -1/3*(1 2 3))"
+    assert left.to_json() == {
+        "degree": 3,
+        "terms": [
+            {"perm": [1, 3, 2], "coeff": "2/3"},
+            {"perm": [2, 1, 3], "coeff": "1"},
+            {"perm": [2, 3, 1], "coeff": "-1/3"},
+        ],
+    }
+    assert repr(AlgebraElement.unit(0) * Permutation.identity(0)) == "AlgebraElement(S_0, 1*())"
+
+
+def test_scaling_by_one_and_negation_leave_the_element_alone():
+    # scale(1) hands back the element itself, so no sum, difference or
+    # product formed from it or its negation may change it
+    rng = random.Random(5)
+    x = random_element(4, 8, rng)
+    g = random_element(4, 8, rng)
+    p = Permutation([3, 1, 4, 2])
+    snapshot = x.to_json()
+    assert x.scale(1) is x and x.scale(Fraction(1)) is x
+    assert x.scale(-1) == -x == x.scale(Fraction(-1)) == x * -1
+    assert (x + x.scale(-1)).is_zero()
+    for y in (x.scale(1), x.scale(-1), -x):
+        for z in (y + g, g + y, y - g, g - y, y + y, y - y, y * p, p * y, y * g, y.scale(3)):
+            assert z.degree == 4
+    assert x.to_json() == snapshot
+    assert all(type(c) is int or c.denominator > 1 for _, c in (-x).items())
+
+
+def test_products_build_permutations_only_at_the_edge(monkeypatch):
+    # keys are plain byte words: a product builds no Permutation, and
+    # items() builds exactly one per term
+    from ysym import algebra, perm
+
+    c = young_symmetrizer(YoungTableau.parse("1,2,3/4,5"), 5).c
+    rho = Permutation([2, 4, 5, 1, 3])
+    built = []
+    real = perm._from_word
+
+    def spy(w):
+        built.append(w)
+        return real(w)
+
+    monkeypatch.setattr(algebra, "_from_word", spy)
+    monkeypatch.setattr(perm, "_from_word", spy)
+    products = [c * c, c * rho, rho * c]
+    assert built == []
+    made = [
+        AlgebraElement(5, {rho: 2}),
+        AlgebraElement.from_perm(rho),
+        AlgebraElement.unit(5),
+        transposition_sum(1, [2, 3], 5),
+        -c,
+        c.scale(Fraction(1, 2)),
+        star_algebra(c, AlgebraElement.unit(1)),
+    ]
+    assert all(type(w) is bytes for x in products + made for w in x._terms)
+    for x in products:
+        built.clear()
+        x.items()
+        assert len(built) == len(x) > 0

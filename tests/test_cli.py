@@ -88,6 +88,14 @@ def test_product_degree_above_256_rejected(capsys):
     assert "exceeds 256" in err
 
 
+def test_product_over_pair_budget_rejected(capsys):
+    # --brute expands c(T) for T of shape 9: |R|*|C| = 9! is above 8!
+    code, out, err = run(capsys, ["product", "--shape", "9", "--subshape", "8", "--brute"])
+    assert code == 2
+    assert out == ""
+    assert "budget of 40320" in err
+
+
 def _run_with_hash_seed(argv, seed):
     env = dict(os.environ, PYTHONHASHSEED=str(seed))
     src = str(Path(ysym.__file__).parents[1])

@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from ysym.algebra import AlgebraElement, _chain, _mul_full, conjugate, random_element
 from ysym.perm import Permutation
+from ysym.sweeps import run_suite
 from ysym.symmetrizer import (
     CongruenceContext,
+    SymmetrizerTriple,
+    _build_symmetrizer,
     closed_form_multiplier,
     congruent,
     expand_product,
@@ -603,3 +608,36 @@ def test_report_lines_format():
     for line in rep.lines():
         assert line.startswith("PASS ") or line.startswith("FAIL ")
         assert "2,1" in line and line.endswith(" 2")
+
+
+def test_symmetrizer_over_pair_budget_refused_at_once():
+    # |R| * |C| of shape 9 is 9! = 362,880; nothing of a, b or c is built
+    triple = young_symmetrizer(YoungTableau.canonical(P("9")), 9)
+    with pytest.raises(ValueError, match="budget of 40320"):
+        triple.c
+    assert not {"a_part", "b_part", "c"} & set(vars(triple))
+    for lam in ("8", "1,1,1,1,1,1,1,1"):
+        assert len(young_symmetrizer(YoungTableau.canonical(P(lam)), 8).c) == math.factorial(8)
+
+
+def test_default_sweeps_stay_within_pair_budget(monkeypatch):
+    # every c(T) these sweeps expand at their default bounds, spied on
+    sizes = []
+    expand = SymmetrizerTriple.__dict__["c"].func
+
+    def spy(triple):
+        c = expand(triple)
+        sizes.append(len(c))
+        return c
+
+    spied = functools.cached_property(spy)
+    spied.__set_name__(SymmetrizerTriple, "c")
+    monkeypatch.setattr(SymmetrizerTriple, "c", spied)
+    _build_symmetrizer.cache_clear()
+    try:
+        for suite in ("idempotence", "corner_product", "product_expansion", "symmetrized"):
+            report = run_suite(suite)
+            assert report.ok, (suite, report.failures)
+    finally:
+        _build_symmetrizer.cache_clear()
+    assert max(sizes) == 5040

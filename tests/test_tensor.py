@@ -146,6 +146,16 @@ def test_straighten_column_sort_sign():
     assert h == T("1,2/4,3")
 
 
+def test_straighten_step_budget(monkeypatch):
+    # this filling takes 17 work-list steps
+    f = T("4,5,1/6,2,3")
+    monkeypatch.setattr(tensor, "_STRAIGHTEN_STEP_BUDGET", 17)
+    assert len(straighten(f, 3)) == 12
+    monkeypatch.setattr(tensor, "_STRAIGHTEN_STEP_BUDGET", 16)
+    with pytest.raises(ValueError, match="budget of 16 steps"):
+        straighten(f, 3)
+
+
 def test_straighten_reconstruction_exhaustive():
     for n in range(2, 5):
         for lam in partitions(n):
