@@ -181,10 +181,19 @@ class YoungTableau:
         self.rows = rws
         self._pos = pos
 
+    @classmethod
+    def _make(cls, shape: Partition, rows: tuple[tuple[int, ...], ...]) -> "YoungTableau":
+        """Trusted constructor: rows already a valid filling of the shape."""
+        t = object.__new__(cls)
+        t.shape = shape
+        t.rows = rows
+        t._pos = {e: (i, j) for i, row in enumerate(rows, 1) for j, e in enumerate(row, 1)}
+        return t
+
     @staticmethod
     def canonical(shape: Partition) -> "YoungTableau":
         """Row-major filling by 1..n."""
-        return YoungTableau(shape.fill(range(1, shape.n + 1)))
+        return YoungTableau._make(shape, shape.fill(range(1, shape.n + 1)))
 
     @staticmethod
     def parse(text: str) -> "YoungTableau":
@@ -247,9 +256,7 @@ class YoungTableau:
         """The subtableau on the cells of the given subdiagram."""
         if not self.shape.contains(mu):
             raise ValueError(f"{mu} is not contained in {self.shape}")
-        return YoungTableau(
-            tuple(self.rows[i][: mu.parts[i]] for i in range(len(mu.parts)))
-        )
+        return YoungTableau._make(mu, tuple(row[:p] for row, p in zip(self.rows, mu.parts)))
 
     def has_subtableau(self, S: "YoungTableau") -> bool:
         return self.shape.contains(S.shape) and self.restrict(S.shape) == S
@@ -260,8 +267,12 @@ class YoungTableau:
 
     def relabel(self, sigma: Permutation) -> "YoungTableau":
         """Apply a permutation to every entry."""
-        return YoungTableau(
-            tuple(tuple(sigma(e) for e in row) for row in self.rows)
+        if sigma.degree < self.max_entry():
+            raise ValueError(
+                f"permutation degree {sigma.degree} below largest entry {self.max_entry()}"
+            )
+        return YoungTableau._make(
+            self.shape, tuple(tuple(sigma[e - 1] + 1 for e in row) for row in self.rows)
         )
 
     def max_entry(self) -> int:

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .algebra import (
     AlgebraElement,
@@ -31,7 +32,7 @@ from .algebra import (
     coeff_to_str,
     normalize_coeff,
 )
-from .perm import Permutation, _from_word, _parity_of_word, _shifted
+from .perm import _BYTE_IDENTITY, Permutation, _from_word, _parity_of_word, _shifted
 from .perm import star as perm_star
 from .symmetrizer import _check_pair_budget, expand_product, young_symmetrizer
 from .tableau import Partition, YoungTableau
@@ -419,22 +420,75 @@ def _split_weights(F: YoungTableau, k: int, memo: dict) -> dict[YoungTableau, Co
 
 
 # -- partial symmetrization -----------------------------------------------------
+#
+# A block partition of {1..n} into blocks of size d is keyed by one byte word
+# of length n: byte v - 1 holds the label of letter v's block, the blocks
+# numbered 0, 1, ... in order of their smallest letter (a restricted-growth
+# word).  Projection, relabeling and the star product then work on whole
+# words in C; the sorted tuples of sorted tuples of the public ``terms`` and
+# ``repr`` are built only at the edge.
 
 
-# Byte translation table taking each 0-based letter v to the 1-based v + 1.
-_SHIFT_UP = bytes(range(1, 256)) + b"\0"
+_KEY_CACHE_SIZE = 1 << 14
 
 
-def _project_word(w: bytes, d: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical block partition of a 0-based word: sorted blocks of size d.
+@functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _canonical_key(labels: bytes) -> bytes:
+    """The labels renumbered 0, 1, ... in order of first occurrence."""
+    firsts = bytes(dict.fromkeys(labels))
+    return labels.translate(bytes.maketrans(firsts, _BYTE_IDENTITY[: len(firsts)]))
 
-    The length of w must be a multiple of d, and at most 255 so that every
-    shifted letter fits in a byte.
+
+def _slot_blocks(degree: int, d: int) -> bytes:
+    """Byte i holds i // d, the block of slot i of a tensor monomial."""
+    if degree % d:
+        raise ValueError(f"degree {degree} not divisible by {d}")
+    if degree > 255:
+        raise ValueError(f"degree {degree} exceeds 255, the largest a byte-word projection holds")
+    return bytes(i // d for i in range(degree))
+
+
+def _project_word(w: bytes, d: int) -> bytes:
+    """Key of the block partition of a 0-based word: letter w[i] joins block
+    i // d.  Raises ``ValueError`` unless the length of w is a multiple of
+    d and at most 255."""
+    n = len(w)
+    return _canonical_key(bytes.maketrans(w, _slot_blocks(n, d))[:n])
+
+
+def _key_blocks(key: bytes) -> tuple[tuple[int, ...], ...]:
+    """The sorted tuple of sorted 1-based blocks that a key stands for."""
+    blocks: list[list[int]] = [[] for _ in range(max(key, default=-1) + 1)]
+    for v, label in enumerate(key, 1):
+        blocks[label].append(v)
+    return tuple(map(tuple, blocks))
+
+
+def _blocks_key(blocks: Iterable[Iterable[int]], degree: int, d: int) -> bytes:
+    """The key of a block partition given as blocks of 1-based letters.
+
+    Raises ``ValueError`` unless the blocks partition {1..degree} into
+    blocks of size d.
     """
-    if len(w) > 255:
-        raise ValueError(f"degree {len(w)} exceeds 255, the largest a byte-word projection holds")
-    letters = w.translate(_SHIFT_UP)
-    return tuple(sorted(map(tuple, map(sorted, zip(*[iter(letters)] * d)))))
+    blocks = [tuple(blk) for blk in blocks]
+    labels = bytearray(degree)
+    seen = set()
+    for label, blk in enumerate(blocks):
+        if len(blk) != d:
+            raise ValueError(f"block {blk} of {blocks} does not have size {d}")
+        for v in blk:
+            if not (1 <= v <= degree) or v in seen:
+                raise ValueError(f"{blocks} is not a partition of {{1..{degree}}}")
+            seen.add(v)
+            labels[v - 1] = label
+    if len(seen) != degree:
+        raise ValueError(f"{blocks} is not a partition of {{1..{degree}}}")
+    return _canonical_key(bytes(labels))
+
+
+def _split_keys(buf: bytes | bytearray, degree: int, count: int) -> Iterator[bytes]:
+    """The canonical keys of the count label words lying back to back in buf."""
+    return map(_canonical_key, struct.Struct(f"{degree}s" * count).unpack(buf))
 
 
 def _act_group_sum(
@@ -445,33 +499,25 @@ def _act_group_sum(
     Equals ``x.act(_group_product_sum(entry_sets, x.degree, signed))``: the
     Jucys-Murphy factors of that product act one at a time, the last
     first.  A factor 1 + L (signed, 1 - L) sends a block partition to
-    itself plus (minus) its image under each transposition (x_j y) of L,
-    which moves two letters between at most two blocks, so only those two
-    are rebuilt and every intermediate stays a sparse sum of block
-    partitions.
+    itself plus (minus) its image under each transposition (x_j y) of L.
+    The image swaps bytes x_j - 1 and y - 1 of the key, so with every key
+    joined into one buffer two strided slice copies move all of them, and
+    every intermediate stays a sparse sum of block partitions.
     """
     sign = -1 if signed else 1
-    terms = x.terms
-    # letter -> block index of each key met, shared by all the factors
-    located: dict[tuple, dict[int, int]] = {}
+    n = x.degree
+    terms = x._terms
     for xj, below in reversed(_jucys_murphy_factors(entry_sets)):
+        buf = b"".join(terms)
+        scaled = [sign * c for c in terms.values()]
         pairs = []
-        for key, c in terms.items():
-            where = located.get(key)
-            if where is None:
-                where = located[key] = {v: i for i, blk in enumerate(key) for v in blk}
-            i = where[xj]
-            sc = sign * c
-            for y in below:
-                k = where[y]
-                if k == i:
-                    pairs.append((key, sc))
-                    continue
-                blocks = list(key)
-                blocks[i] = tuple(sorted([y if v == xj else v for v in key[i]]))
-                blocks[k] = tuple(sorted([xj if v == y else v for v in key[k]]))
-                blocks.sort()
-                pairs.append((tuple(blocks), sc))
+        a = xj - 1
+        for y in below:
+            b = y - 1
+            out = bytearray(buf)
+            out[a::n] = buf[b::n]
+            out[b::n] = buf[a::n]
+            pairs.extend(zip(_split_keys(out, n, len(scaled)), scaled))
         terms = _add_into(dict(terms), pairs)
     return SymElement._make(x.degree, x.d, terms)
 
@@ -479,47 +525,56 @@ def _act_group_sum(
 class SymElement:
     """An element of the partially symmetrized algebra in one degree.
 
-    Basis monomials are partitions of {1..degree} into blocks of size d,
-    kept as a sorted tuple of sorted tuples.  The letters inside a block
-    commute, and so do the blocks.
+    Basis monomials are partitions of {1..degree} into blocks of size d.
+    The letters inside a block commute, and so do the blocks.  ``terms``
+    shows each monomial as a sorted tuple of sorted tuples of letters, the
+    form the constructor takes; inside, terms are keyed by block-label
+    words (see ``_canonical_key``).
     """
 
-    __slots__ = ("degree", "d", "terms")
+    __slots__ = ("degree", "d", "_terms")
 
     def __init__(self, degree: int, d: int, terms: dict | None = None):
         if d < 1 or degree % d:
             raise ValueError(f"degree {degree} not divisible by block size {d}")
         self.degree = degree
         self.d = d
-        self.terms = _add_into({}, terms.items()) if terms else {}
+        pairs = ((_blocks_key(k, degree, d), c) for k, c in terms.items()) if terms else ()
+        self._terms = _add_into({}, pairs)
 
     @classmethod
-    def _make(cls, degree: int, d: int, terms: dict) -> "SymElement":
+    def _make(cls, degree: int, d: int, terms: dict[bytes, Coeff]) -> "SymElement":
+        """Trusted constructor: terms pruned, keyed by canonical label words."""
         el = object.__new__(cls)
         el.degree = degree
         el.d = d
-        el.terms = terms
+        el._terms = terms
         return el
 
     @staticmethod
     def zero(degree: int, d: int) -> "SymElement":
         return SymElement(degree, d, {})
 
+    @property
+    def terms(self) -> dict[tuple[tuple[int, ...], ...], Coeff]:
+        """A fresh copy of the terms, each key a sorted tuple of sorted blocks."""
+        return {_key_blocks(k): c for k, c in self._terms.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SymElement)
             and self.degree == other.degree
             and self.d == other.d
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     def __add__(self, other: "SymElement") -> "SymElement":
         if (self.degree, self.d) != (other.degree, other.d):
             raise ValueError("degree/block mismatch")
-        acc = _add_into(dict(self.terms), other.terms.items())
+        acc = _add_into(dict(self._terms), other._terms.items())
         return SymElement._make(self.degree, self.d, acc)
 
     def __sub__(self, other: "SymElement") -> "SymElement":
@@ -530,56 +585,76 @@ class SymElement:
         if not c:
             return SymElement.zero(self.degree, self.d)
         return SymElement._make(
-            self.degree, self.d, {k: normalize_coeff(v * c) for k, v in self.terms.items()}
+            self.degree, self.d, {k: normalize_coeff(v * c) for k, v in self._terms.items()}
         )
 
     def star(self, other: "SymElement") -> "SymElement":
-        """Product: concatenate block partitions, shifting the other's letters."""
+        """Product: concatenate block partitions, shifting the other's letters.
+
+        Every letter of the other comes after every letter of self, so
+        self's key followed by the other's, its labels raised by self's
+        block count, is already canonical.
+        """
         if self.d != other.d:
             raise ValueError("block size mismatch")
-        shift = self.degree
         shifted = [
-            (tuple(tuple(v + shift for v in blk) for blk in k2), c2)
-            for k2, c2 in other.terms.items()
+            (_shifted(k2, self.degree // self.d), c2) for k2, c2 in other._terms.items()
         ]
-        pairs = (
-            (tuple(sorted(k1 + k2)), c1 * c2)
-            for k1, c1 in self.terms.items()
+        terms = {
+            k1 + k2: normalize_coeff(c1 * c2)
+            for k1, c1 in self._terms.items()
             for k2, c2 in shifted
-        )
-        return SymElement._make(self.degree + other.degree, self.d, _add_into({}, pairs))
+        }
+        return SymElement._make(self.degree + other.degree, self.d, terms)
 
     def act(self, f) -> "SymElement":
-        """Left action by relabeling letters; no signs are involved."""
+        """Left action by relabeling letters; no signs are involved.
+
+        p sends the block partition with labels L to the one with labels
+        L(p^-1(u)) at letter u, so one translation by each key of the
+        joined inverse words of f relabels that key by every term of f.
+        """
         if isinstance(f, Permutation):
             f = AlgebraElement.from_perm(f)
+        n = self.degree
+        if f.degree != n:
+            raise ValueError(f"degree mismatch: {n} vs {f.degree}")
+        ident = _BYTE_IDENTITY[:n]
+        inverses = b"".join(bytes.maketrans(p, ident)[:n] for p in f._terms)
+        coeffs = f._terms.values()
+        pad = bytes(256 - n)
         pairs = (
-            (tuple(sorted(tuple(sorted(p[v - 1] + 1 for v in blk)) for blk in key)), cp * c)
-            for p, cp in f._terms.items()
-            for key, c in self.terms.items()
+            (key, cp * c)
+            for k, c in self._terms.items()
+            for key, cp in zip(_split_keys(inverses.translate(k + pad), n, len(f)), coeffs)
         )
-        return SymElement._make(self.degree, self.d, _add_into({}, pairs))
+        return SymElement._make(n, self.d, _add_into({}, pairs))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return f"SymElement(deg {self.degree}, d={self.d}, 0)"
         bits = []
         for key, c in sorted(self.terms.items()):
             mono = "".join("{" + ",".join(map(str, blk)) + "}" for blk in key)
             bits.append(f"{coeff_to_str(c)}*{mono}")
-            if len(bits) == 4 and len(self.terms) > 4:
-                bits.append(f"... {len(self.terms)} terms")
+            if len(bits) == 4 and len(self._terms) > 4:
+                bits.append(f"... {len(self._terms)} terms")
                 break
         return f"SymElement(deg {self.degree}, d={self.d}, " + " + ".join(bits) + ")"
 
 
 def project_sym(x: TensorElement | AlgebraElement, d: int) -> SymElement:
-    """Collapse each tensor monomial onto its block partition."""
+    """Collapse each tensor monomial onto its block partition.
+
+    Each key is ``_project_word(w, d)``, written out so that the slot
+    blocks are built once per element.
+    """
     value = x.value if isinstance(x, TensorElement) else x
-    if value.degree % d:
-        raise ValueError(f"degree {value.degree} not divisible by {d}")
-    pairs = ((_project_word(w, d), c) for w, c in value._terms.items())
-    return SymElement._make(value.degree, d, _add_into({}, pairs))
+    n = value.degree
+    blocks = _slot_blocks(n, d)
+    maketrans = bytes.maketrans
+    pairs = ((_canonical_key(maketrans(w, blocks)[:n]), c) for w, c in value._terms.items())
+    return SymElement._make(n, d, _add_into({}, pairs))
 
 
 # -- d-regular fillings and their tabloids ---------------------------------------
@@ -621,9 +696,14 @@ class DnFilling:
         return any(len(set(c)) != len(c) for c in self.columns())
 
     def relabel(self, sigma: Permutation) -> "DnFilling":
-        return DnFilling(
-            (tuple(sigma(e) for e in row) for row in self.rows), self.d
-        )
+        """Apply sigma to every label; sigma must map {1..n} onto itself."""
+        n = self.n
+        if len(sigma) < n or max(sigma[:n]) >= n:
+            raise ValueError(f"{sigma!r} does not permute the labels 1..{n}")
+        out = object.__new__(DnFilling)
+        out.rows = tuple(tuple(sigma[e - 1] + 1 for e in row) for row in self.rows)
+        out.d, out.n, out.shape = self.d, n, self.shape
+        return out
 
     def canonical(self) -> "DnFilling":
         """Sort within columns, then sort equal-height column runs."""
@@ -658,10 +738,14 @@ class DnFilling:
         factors of b(T), then of a(T), act on it one at a time.  Neither
         a(T), b(T) nor any product with rho is formed, and no intermediate
         has more terms than there are block partitions of {1..degree}.
+        rho puts the letter p, the reading position of a cell, in the slot
+        of that cell's lifted entry, and the d lifted entries of label e
+        are the slots of block e - 1; so proj(rho) gives letter p the label
+        at reading position p, less one, and the lift is never built.
         """
         T = YoungTableau.canonical(self.shape)
-        rho = Tabloid(self.lift()).realization_word()
-        x = SymElement._make(self.degree, self.d, {_project_word(rho, self.d): 1})
+        labels = bytes(e - 1 for row in self.rows for e in row)
+        x = SymElement._make(self.degree, self.d, {_canonical_key(labels): 1})
         cols = [T.column(j) for j in range(1, self.shape.part(1) + 1)]
         x = _act_group_sum(x, cols, signed=True)
         return _act_group_sum(x, T.rows, signed=False)
@@ -823,7 +907,7 @@ class DnCertificate:
             if gen_real is None:
                 gen_real = s.generator.realize()
                 gen_cache[s.generator] = gen_real
-            right_sym = project_sym(AlgebraElement.from_perm(s.right), d)
+            right_sym = SymElement._make(len(s.right), d, {_project_word(s.right, d): 1})
             rhs = rhs + gen_real.star(right_sym).act(s.left)
         return lhs == rhs
 

@@ -148,6 +148,28 @@ def test_relabel():
     assert t.relabel(sigma) == T("2,3/1")
 
 
+def _same_tableau(a, b):
+    # equality compares rows only; the trusted builds must also agree on
+    # the shape and the entry positions a validating build computes
+    return (a.rows, a.shape, a._pos) == (b.rows, b.shape, b._pos)
+
+
+def test_relabel_restrict_and_canonical_match_validated_builds():
+    t = T("4,1,6/2,7/3/5")
+    for sigma in (Permutation([3, 1, 2, 7, 6, 5, 4]), Permutation.identity(9)):
+        got = t.relabel(sigma)
+        assert _same_tableau(got, YoungTableau([[sigma(e) for e in row] for row in t.rows]))
+    for mu in (P("3,2,1,1"), P("2,1"), P("1"), P("")):
+        assert _same_tableau(t.restrict(mu), YoungTableau([r[:p] for r, p in zip(t.rows, mu)]))
+        assert _same_tableau(YoungTableau.canonical(mu), YoungTableau(mu.fill(range(1, mu.n + 1))))
+
+
+def test_relabel_refuses_short_permutation():
+    # a permutation of {1..6} cannot relabel the entry 7
+    with pytest.raises(ValueError, match="below largest entry 7"):
+        T("4,1,6/2,7/3/5").relabel(Permutation.identity(6))
+
+
 def test_blocks_whole_tableau():
     t = T("1,2,3,4/5,6,7/8/9")
     dec = blocks_from_column(t, 0)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -22,7 +23,10 @@ from ysym.tensor import (
     Tabloid,
     TensorElement,
     _act_group_sum,
+    _blocks_key,
+    _canonical_key,
     _expand_canonical,
+    _key_blocks,
     _left_anchor,
     _push_filling,
     _project_word,
@@ -553,15 +557,23 @@ def test_dn_realize_matches_expanded_formula():
 
 
 @st.composite
-def _sym_element_and_sets(draw):
-    """A random SymElement and disjoint entry sets of its degree."""
-    d = draw(st.integers(1, 3))
+def _sym_element(draw, d=None):
+    """A random SymElement of at most four terms, degree at most 6."""
+    if d is None:
+        d = draw(st.integers(1, 3))
     degree = d * draw(st.integers(1, 6 // d))
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
         w = draw(st.permutations(range(degree)))
-        terms[_project_word(bytes(w), d)] = draw(st.integers(-3, 3))
-    x = SymElement(degree, d, terms)
+        terms[_tuple_project_word(w, d)] = draw(st.integers(-3, 3))
+    return SymElement(degree, d, terms)
+
+
+@st.composite
+def _sym_element_and_sets(draw):
+    """A random SymElement and disjoint entry sets of its degree."""
+    x = draw(_sym_element())
+    degree = x.degree
     # each entry joins one of three sets or none
     owner = draw(st.lists(st.integers(0, 3), min_size=degree, max_size=degree))
     sets = [[e for e in range(1, degree + 1) if owner[e - 1] == s] for s in (1, 2, 3)]
@@ -593,9 +605,151 @@ def test_project_word_matches_letterwise_sort():
             want = tuple(
                 sorted(tuple(sorted(v + 1 for v in w[i : i + d])) for i in range(0, degree, d))
             )
-            assert _project_word(bytes(w), d) == want
+            assert _key_blocks(_project_word(bytes(w), d)) == want
     with pytest.raises(ValueError, match="exceeds 255"):
         _project_word(bytes(range(256)), 2)
+
+
+# -- the tuple-keyed formulas that byte-word keys replaced, kept as oracles --
+
+
+def _tuple_project_word(w, d):
+    """The block partition of a 0-based word as sorted tuples of sorted blocks."""
+    return tuple(sorted(map(tuple, map(sorted, zip(*[iter(v + 1 for v in w)] * d)))))
+
+
+def _tuple_terms(pairs):
+    acc = {}
+    for key, c in pairs:
+        acc[key] = acc.get(key, 0) + c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _tuple_act(terms, f):
+    """The tuple-keyed left action: each term of f relabels every block."""
+    return _tuple_terms(
+        (tuple(sorted(tuple(sorted(p[v - 1] + 1 for v in blk)) for blk in key)), cp * c)
+        for p, cp in f._terms.items()
+        for key, c in terms.items()
+    )
+
+
+def _tuple_star(terms1, terms2, shift):
+    """The tuple-keyed star product: shift the second's letters, merge blocks."""
+    return _tuple_terms(
+        (tuple(sorted(k1 + tuple(tuple(v + shift for v in blk) for blk in k2))), c1 * c2)
+        for k1, c1 in terms1.items()
+        for k2, c2 in terms2.items()
+    )
+
+
+def test_block_key_matches_sorted_tuples_exhaustive():
+    # every word with d*n <= 6: the key is a restricted-growth word, it
+    # stands for the sorted-tuple projection, and equal keys mean equal
+    # block partitions, both ways round
+    count = 0
+    for d in range(1, 7):
+        for n in range(1, 6 // d + 1):
+            degree = d * n
+            seen = {}
+            for w in itertools.permutations(range(degree)):
+                key = _project_word(bytes(w), d)
+                want = _tuple_project_word(w, d)
+                assert len(key) == degree
+                assert all(key[i] <= max(key[:i], default=-1) + 1 for i in range(degree))
+                assert _key_blocks(key) == want
+                assert _blocks_key(want, degree, d) == key
+                assert seen.setdefault(want, key) == key
+                count += 1
+            assert len(seen) == math.factorial(degree) // (
+                math.factorial(d) ** n * math.factorial(n)
+            )
+    assert count == 4 * 720 + 2 * 120 + 3 * 24 + 2 * 6 + 2 * 2 + 1
+    assert _canonical_key(b"\2\2\0\1\0\1") == b"\0\0\1\2\1\2"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_project_sym_matches_tuple_projection(data):
+    d = data.draw(st.integers(1, 3))
+    degree = d * data.draw(st.integers(0, 6 // d))
+    words = data.draw(st.lists(st.permutations(range(degree)), max_size=5))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(words), max_size=len(words)))
+    perms = (Permutation([v + 1 for v in w]) for w in words)
+    x = AlgebraElement(degree, dict(zip(perms, coeffs)))
+    want = _tuple_terms((_tuple_project_word(w, d), c) for w, c in x._terms.items())
+    assert project_sym(x, d).terms == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_act_and_star_match_tuple_formulas(data):
+    x = data.draw(_sym_element())
+    y = data.draw(_sym_element(d=x.d))
+    perms = data.draw(st.lists(st.permutations(range(1, x.degree + 1)), max_size=4))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(perms), max_size=len(perms)))
+    f = AlgebraElement(x.degree, dict(zip(map(Permutation, perms), coeffs)))
+    assert x.act(f).terms == _tuple_act(x.terms, f)
+    for p in f.support():
+        assert x.act(p).terms == _tuple_act(x.terms, AlgebraElement.from_perm(p))
+    assert x.star(y).terms == _tuple_star(x.terms, y.terms, x.degree)
+
+
+def test_sym_act_checks_degree():
+    x = project_sym(TensorElement.monomial([1, 2, 3, 4]), 2)
+    for p in (Permutation([1, 2, 3, 4, 6, 5]), Permutation([2, 1])):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            x.act(p)
+        with pytest.raises(ValueError, match="degree mismatch"):
+            x.act(AlgebraElement.from_perm(p))
+
+
+def test_sym_constructor_canonicalizes_and_validates():
+    assert SymElement(4, 2, {((2, 1), (4, 3)): 1}) == SymElement(4, 2, {((1, 2), (3, 4)): 1})
+    assert SymElement(4, 2, {((4, 3), (2, 1)): 1}).terms == {((1, 2), (3, 4)): 1}
+    # the same partition written twice adds up, and cancels
+    assert SymElement(4, 2, {((1, 2), (3, 4)): 1, ((4, 3), (1, 2)): -1}).is_zero()
+    assert SymElement(0, 3, {(): 5}).terms == {(): 5}
+    for bad in (
+        ((1, 2, 3),),
+        ((1, 2),),
+        ((1, 2), (3, 4), (5, 6)),
+        ((1, 2), (2, 3)),
+        ((1, 2), (3, 5)),
+        ((0, 1), (2, 3)),
+        ((1, 2, 3), (4,)),
+    ):
+        with pytest.raises(ValueError):
+            SymElement(4, 2, {bad: 1})
+
+
+def test_sym_terms_and_repr_keep_tuple_form():
+    x = SymElement(4, 2, {((1, 3), (2, 4)): 2, ((1, 2), (3, 4)): Fraction(-1, 2)})
+    assert x.terms == {((1, 3), (2, 4)): 2, ((1, 2), (3, 4)): Fraction(-1, 2)}
+    x.terms.clear()  # terms is a copy
+    assert len(x.terms) == 2
+    assert repr(x) == "SymElement(deg 4, d=2, -1/2*{1,2}{3,4} + 2*{1,3}{2,4})"
+    assert repr(SymElement.zero(4, 2)) == "SymElement(deg 4, d=2, 0)"
+    real = DnFilling.parse("1,1,2,3/2,3", 2).realize()
+    assert repr(real) == (
+        "SymElement(deg 6, d=2, 16*{1,2}{3,4}{5,6} + -4*{1,2}{3,5}{4,6} + "
+        "-4*{1,2}{3,6}{4,5} + 16*{1,3}{2,4}{5,6} + ... 15 terms)"
+    )
+    assert sorted(real.terms.items())[:3] == [
+        (((1, 2), (3, 4), (5, 6)), 16),
+        (((1, 2), (3, 5), (4, 6)), -4),
+        (((1, 2), (3, 6), (4, 5)), -4),
+    ]
+
+
+def test_dn_relabel_checks_labels():
+    f = DnFilling.parse("1,1,2,3/2,3", 2)
+    for sigma in (Permutation([2, 1]), Permutation([1, 4, 3, 2])):
+        with pytest.raises(ValueError, match="does not permute"):
+            f.relabel(sigma)
+    g = f.relabel(Permutation([3, 1, 2, 4]))
+    assert g == DnFilling.parse("3,3,1,2/1,2", 2)
+    assert (g.n, g.d, g.shape) == (3, 2, f.shape)
 
 
 def test_lifted_certificate_budget():
