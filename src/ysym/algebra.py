@@ -16,7 +16,10 @@ Coefficients are stored as ``int`` whenever the denominator is 1 and as
 ``fractions.Fraction`` otherwise.  Python compares and hashes the two
 consistently.  The convolution kernel scales each operand to integer
 coefficients and divides once at the end, so a product of integer elements
-never touches a Fraction.
+never touches a Fraction.  Its Python work grows with the number of
+distinct coefficients and result words, not with the number of terms:
+scaling, grouping, composing and counting run in C, and a Fraction is made
+once per distinct coefficient of the result.
 """
 
 from __future__ import annotations
@@ -31,9 +34,14 @@ from collections import Counter
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Union
 
-from .perm import Permutation, _from_word, _table, all_permutations
+from .perm import _BYTE_IDENTITY, Permutation, _from_word, _table, all_permutations
 
 Coeff = Union[int, Fraction]
+
+_numerator = operator.attrgetter("numerator")
+_denominator = operator.attrgetter("denominator")
+_first = operator.itemgetter(0)
+_second = operator.itemgetter(1)
 
 
 def normalize_coeff(c: Coeff) -> Coeff:
@@ -190,9 +198,11 @@ class AlgebraElement:
         a = normalize_coeff(a)
         if not a:
             return AlgebraElement.zero(self.degree)
+        # one product per distinct coefficient; the terms are mapped in C
+        values = self._terms.values()
+        products = {c: normalize_coeff(c * a) for c in set(values)}
         return AlgebraElement._make(
-            self.degree,
-            {p: normalize_coeff(c * a) for p, c in self._terms.items()},
+            self.degree, dict(zip(self._terms, map(products.__getitem__, values)))
         )
 
     # -- multiplication ------------------------------------------------------
@@ -260,10 +270,10 @@ def _split_words(buf: bytes | bytearray, like: AlgebraElement) -> AlgebraElement
     return AlgebraElement._make(like.degree, dict(zip(words, terms.values())))
 
 
-def _times_perm(x: AlgebraElement, rho: Permutation) -> AlgebraElement:
-    """x * rho.  Letter i of the word of p * rho is letter rho(i) of p's, so
-    with every word of x joined into one buffer, n strided slice copies
-    gather all the composed words at once."""
+def _times_perm(x: AlgebraElement, rho: bytes) -> AlgebraElement:
+    """x * rho, for a permutation or its word.  Letter i of the word of
+    p * rho is letter rho(i) of p's, so with every word of x joined into one
+    buffer, n strided slice copies gather all the composed words at once."""
     n = x.degree
     if not n:
         return x  # S_0 holds only the identity
@@ -274,51 +284,81 @@ def _times_perm(x: AlgebraElement, rho: Permutation) -> AlgebraElement:
     return _split_words(out, x)
 
 
-def _perm_times(rho: Permutation, x: AlgebraElement) -> AlgebraElement:
-    """rho * x: one translation of the joined words of x by rho."""
+def _perm_times(rho: bytes, x: AlgebraElement) -> AlgebraElement:
+    """rho * x, for a permutation or its word: one translation of the joined
+    words of x by rho."""
     return _split_words(b"".join(x._terms).translate(_table(rho)), x)
 
 
-def _integer_groups(f: AlgebraElement) -> tuple[int, dict[int, list[bytes]]]:
-    """f scaled to integers: the lcm d of its denominators, and for each
-    integer coefficient d*c the words that carry it."""
-    den = math.lcm(*{c.denominator for c in f._terms.values()})
-    groups: dict[int, list[bytes]] = {}
-    for p, c in f._terms.items():
-        groups.setdefault(c.numerator * (den // c.denominator), []).append(p)
-    return den, groups
+def _integer_groups(f: AlgebraElement) -> tuple[int, list[tuple[int, list[bytes]]]]:
+    """f scaled to integers: the lcm d of its denominators, and each integer
+    coefficient d*c with the words that carry it.  Scaling, sorting and
+    grouping run in C; for an integer element no Python runs per term.
+
+    Groups come in order of first appearance, words in term order: the
+    product's term order follows, and certificate summands follow that.
+    """
+    terms = f._terms
+    coeffs = terms.values()
+    den = math.lcm(*map(_denominator, coeffs))
+    if den != 1:
+        scaled = map(operator.mul, map(_numerator, coeffs), itertools.repeat(den))
+        coeffs = list(map(operator.floordiv, scaled, map(_denominator, coeffs)))
+    distinct = list(dict.fromkeys(coeffs))
+    rank = dict(zip(distinct, itertools.count()))
+    pairs = sorted(zip(map(rank.__getitem__, coeffs), terms), key=_first)
+    groups = itertools.groupby(pairs, _first)
+    return den, [(distinct[r], list(map(_second, grp))) for r, grp in groups]
 
 
 def _mul_full(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     """Convolution product, the hot loop of the whole package.
 
-    Every one of the |f|*|g| compositions is formed, in C: a word of f
-    becomes a 256-byte translation table, so p*q is ``q.translate(p)``, and
-    a Counter counts the composed words of each pair of coefficient groups.
-    Coefficients meet only once per distinct result word and coefficient,
-    and the result words are the keys as they come.
+    Every one of the |f|*|g| compositions is formed, in C, so this stays the
+    brute-force oracle.  A one-term factor composes with the other operand
+    the way a permutation does, by one gather or one translation of all its
+    words, and then scales it.  Otherwise both operands are scaled to integer
+    coefficients and their words grouped by coefficient.  The words of each
+    group of f become 256-byte translation tables, so p*q is
+    ``q.translate(p)``, and a Counter per product of coefficients counts the
+    composed words of each pair of groups.  Python runs once per pair of
+    groups; with more than one product of coefficients, also once per word
+    of each Counter.  A single Counter is scaled in C, and the result makes
+    one Fraction per distinct coefficient.
     """
-    fden, groups = _integer_groups(f)
-    gden, words = _integer_groups(g)
+    if len(f._terms) == 1:
+        ((w, c),) = f._terms.items()
+        return _perm_times(w, g).scale(c)
+    if len(g._terms) == 1:
+        ((w, c),) = g._terms.items()
+        return _times_perm(f, w).scale(c)
+    fden, fgroups = _integer_groups(f)
+    gden, ggroups = _integer_groups(g)
+    suffix = _BYTE_IDENTITY[f.degree :]
     counts: dict[int, Counter] = {}
-    for kf, ps in groups.items():
-        tables = list(map(_table, ps))
-        for kg, qs in words.items():
+    for kf, ps in fgroups:
+        tables = list(map(bytes.__add__, ps, itertools.repeat(suffix)))
+        for kg, qs in ggroups:
             counter = counts.get(kf * kg)
             if counter is None:
                 counter = counts[kf * kg] = Counter()
             counter.update(itertools.starmap(bytes.translate, itertools.product(qs, tables)))
-    acc: dict[bytes, int] = {}
-    acc_get = acc.get
-    for k, counter in counts.items():
-        for w, m in counter.items():
-            acc[w] = acc_get(w, 0) + k * m
+    if len(counts) == 1:
+        ((k, acc),) = counts.items()
+        sums = map(operator.mul, acc.values(), itertools.repeat(k))
+    else:
+        acc = {}
+        acc_get = acc.get
+        for k, counter in counts.items():
+            for w, m in counter.items():
+                acc[w] = acc_get(w, 0) + k * m
+        sums = acc.values()
     den = fden * gden
-    terms: dict[bytes, Coeff] = {}
-    for w, c in acc.items():
-        if c:
-            terms[w] = c // den if c % den == 0 else Fraction(c, den)
-    return AlgebraElement._make(f.degree, terms)
+    if den != 1:
+        sums = list(sums)
+        ratios = {c: c // den if c % den == 0 else Fraction(c, den) for c in set(sums)}
+        sums = map(ratios.__getitem__, sums)
+    return AlgebraElement._make(f.degree, dict(filter(_second, zip(acc, sums))))
 
 
 def conjugate(d: Permutation, f: AlgebraElement) -> AlgebraElement:

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .sweeps import SUITES, run_suites
-from .symmetrizer import expand_product, young_symmetrizer
+from .symmetrizer import _check_pair_budget, expand_product, young_symmetrizer
 from .tableau import Partition, YoungTableau
 from .tensor import (
     DnFilling,
@@ -32,6 +33,23 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
+# The most term products ``product --brute`` may form.  c(T) * c(S) forms
+# |R(T)||C(T)| * |R(S)||C(S)| of them, and |R||C| is at most n!, so every
+# input with n <= 7 fits; c(8) * c(8) alone would be 1.6e9.
+_BRUTE_PRODUCT_BUDGET = math.factorial(7) ** 2
+
+
+def _check_brute_budget(lam: Partition, mu: Partition) -> None:
+    """Refuse, with ValueError, a --brute convolution above the budget,
+    from the two shapes alone and before anything is built."""
+    products = _check_pair_budget(lam, "symmetrizer") * _check_pair_budget(mu, "symmetrizer")
+    if products > _BRUTE_PRODUCT_BUDGET:
+        raise ValueError(
+            f"--brute on shapes {lam} and {mu} would form {products} term products, "
+            f"above the budget of {_BRUTE_PRODUCT_BUDGET}"
+        )
+
+
 def cmd_product(args: argparse.Namespace) -> int:
     lam = Partition.parse(args.shape)
     tableau = (
@@ -42,6 +60,8 @@ def cmd_product(args: argparse.Namespace) -> int:
     mu = Partition.parse(args.subshape)
     if not lam.contains(mu):
         raise ValueError(f"subshape {mu} not contained in {lam}")
+    if args.brute:
+        _check_brute_budget(lam, mu)
     sub = tableau.restrict(mu)
     n = tableau.max_entry()
     mult = expand_product(tableau, sub, n)

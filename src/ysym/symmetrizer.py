@@ -46,14 +46,15 @@ from .tableau import (
 _PAIR_BUDGET = math.factorial(8)
 
 
-def _check_pair_budget(shape: Partition, what: str) -> None:
-    """Refuse, with ValueError, a shape whose |R| * |C| exceeds _PAIR_BUDGET."""
+def _check_pair_budget(shape: Partition, what: str) -> int:
+    """|R| * |C| of the shape; refuses, with ValueError, one above _PAIR_BUDGET."""
     pairs = shape.factorial() * shape.conjugate().factorial()
     if pairs > _PAIR_BUDGET:
         raise ValueError(
             f"shape {shape} has |R|*|C| = {pairs} group pairs, above the {what} "
             f"budget of {_PAIR_BUDGET}"
         )
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -418,18 +419,28 @@ def verify_corner_identities(
 
     # cyclic sandwich: a cycle through increasing columns collapses or dies
     def cycle_sandwich_residuals():
+        # cS * sigma is one cheap gather; the convolution by cS is done once
+        # per distinct gather, since many sigma and tau give the same one
+        sandwiches: dict[frozenset, AlgebraElement] = {}
+
+        def sandwich(sigma: Permutation) -> AlgebraElement:
+            left = cS * sigma
+            key = frozenset(left._terms.items())
+            found = sandwiches.get(key)
+            if found is None:
+                found = sandwiches[key] = left * cS
+            return found
+
         ncols = mu.part(1)
         columns = [sorted(S.column_set(j)) for j in range(1, ncols + 1)]
         for p in range(2, ncols + 1):
             for js in itertools.combinations(range(ncols), p):
                 for bs in itertools.product(*[columns[j] for j in js]):
-                    sigma = Permutation.cycle(a, list(bs), n)
-                    lhs = cS * sigma * cS
+                    lhs = sandwich(Permutation.cycle(a, list(bs), n))
                     if S.row_of(bs[0]) != S.row_of(bs[1]):
                         yield lhs
                     else:
-                        tau = Permutation.cycle(a, list(bs[1:]), n)
-                        yield lhs - cS * tau * cS
+                        yield lhs - sandwich(Permutation.cycle(a, list(bs[1:]), n))
 
     add("cycle-sandwich", cycle_sandwich_residuals())
 

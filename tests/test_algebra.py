@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ysym.algebra import (
     AlgebraElement,
+    _chain,
     _group_product_sum,
     _mul_full,
     antisymmetrize_set,
@@ -82,13 +83,26 @@ _KERNEL_COEFFS = st.one_of(
 
 @st.composite
 def _kernel_operands(draw):
-    """Two elements of one degree 0..6; one side often has just one or two terms."""
+    """Two elements of one degree 0..6; one side often has just one or two
+    terms, and either side may carry one coefficient on every term."""
     n = draw(st.integers(0, 6))
     perm = st.permutations(list(range(1, n + 1))).map(Permutation)
-    left, right = draw(st.sampled_from([(24, 2), (2, 24), (12, 12)]))
-    f = AlgebraElement(n, draw(st.dictionaries(perm, _KERNEL_COEFFS, max_size=left)))
-    g = AlgebraElement(n, draw(st.dictionaries(perm, _KERNEL_COEFFS, max_size=right)))
-    return f, g
+
+    def element(size):
+        if draw(st.booleans()):
+            words = draw(st.sets(perm, max_size=size))
+            return AlgebraElement(n, dict.fromkeys(words, draw(_KERNEL_COEFFS)))
+        return AlgebraElement(n, draw(st.dictionaries(perm, _KERNEL_COEFFS, max_size=size)))
+
+    left, right = draw(st.sampled_from([(24, 1), (1, 24), (24, 2), (2, 24), (12, 12)]))
+    return element(left), element(right)
+
+
+def _assert_normalized(x):
+    # no zero coefficient, and an int wherever the value is integral
+    for c in x._terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
 @given(_kernel_operands())
@@ -96,7 +110,7 @@ def test_kernel_matches_pointwise_oracle(operands):
     f, g = operands
     got = f * g
     assert dict(got.items()) == _pointwise(f, g)
-    assert not any(type(c) is Fraction and c.denominator == 1 for _, c in got.items())
+    _assert_normalized(got)
     assert (f * (g - g)).is_zero()
     assert ((g - g) * f).is_zero()
 
@@ -110,6 +124,13 @@ def test_kernel_cancels_across_coefficient_groups(n):
     g = (unit - t).scale(Fraction(3, 4))
     assert (f * g).is_zero()
     assert (f * (unit + t)) == (unit + t).scale(Fraction(4, 3))
+    # the same with integer coefficients, and a(X)(1 - t) = 0 for t in S_X,
+    # where the words of a(X) all carry one coefficient
+    assert ((unit + t) * (unit - t).scale(3)).is_zero()
+    assert (symmetrize_set(range(1, n + 1), n) * (unit - t)).is_zero()
+    half = (unit + t) * (unit + t).scale(Fraction(1, 2))
+    assert half == unit + t
+    _assert_normalized(half)
 
 
 def test_kernel_degree_limit():
@@ -517,7 +538,9 @@ def test_products_build_permutations_only_at_the_edge(monkeypatch):
     # items() builds exactly one per term
     from ysym import algebra, perm
 
-    c = young_symmetrizer(YoungTableau.parse("1,2,3/4,5"), 5).c
+    triple = young_symmetrizer(YoungTableau.parse("1,2,3/4,5"), 5)
+    c = triple.c
+    unit = AlgebraElement.unit(5)
     rho = Permutation([2, 4, 5, 1, 3])
     built = []
     real = perm._from_word
@@ -528,7 +551,15 @@ def test_products_build_permutations_only_at_the_edge(monkeypatch):
 
     monkeypatch.setattr(algebra, "_from_word", spy)
     monkeypatch.setattr(perm, "_from_word", spy)
-    products = [c * c, c * rho, rho * c]
+    single = AlgebraElement.from_perm(rho, Fraction(1, 2))
+    products = [
+        c * c,
+        c * rho,
+        rho * c,
+        c * single,
+        single * c,
+        _chain(unit, triple.factors),
+    ]
     assert built == []
     made = [
         AlgebraElement(5, {rho: 2}),

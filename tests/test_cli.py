@@ -8,9 +8,9 @@ import pytest
 
 import ysym
 from ysym.algebra import AlgebraElement
-from ysym.cli import main
+from ysym.cli import _check_brute_budget, main
 from ysym.symmetrizer import closed_form_multiplier
-from ysym.tableau import Partition, YoungTableau
+from ysym.tableau import Partition, YoungTableau, partitions
 from ysym.tensor import DnFilling
 
 
@@ -94,6 +94,27 @@ def test_product_over_pair_budget_rejected(capsys):
     assert code == 2
     assert out == ""
     assert "budget of 40320" in err
+
+
+def test_product_brute_over_product_budget_refused(capsys, monkeypatch):
+    # c(8) * c(8) would form 8!^2 term products, above (7!)^2 = 25,401,600:
+    # refused from the shapes alone, before the multiplier is expanded
+    def unreachable(*args):
+        raise AssertionError("--brute built something before refusing")
+
+    monkeypatch.setattr("ysym.cli.expand_product", unreachable)
+    code, out, err = run(capsys, ["product", "--shape", "8", "--subshape", "8", "--brute"])
+    assert code == 2
+    assert out == ""
+    assert "1625702400 term products" in err and "budget of 25401600" in err
+
+
+def test_brute_budget_admits_every_input_up_to_seven():
+    for n in range(1, 8):
+        for lam in partitions(n):
+            for m in range(n + 1):
+                for mu in partitions(m, within=lam):
+                    _check_brute_budget(lam, mu)
 
 
 def _run_with_hash_seed(argv, seed):

@@ -256,6 +256,20 @@ def test_certificate_json_round_trip():
     assert back.to_json() == data
 
 
+def test_certificate_summand_order_is_pinned():
+    # Summands come in the first-seen order of the split fillings, which
+    # follows the term order of the multiplier products; the JSON shows it.
+    cert = membership_certificate(T("1,2,3,6/4,5/7"), 5)
+    assert [str(s.generator) for s in cert.summands] == [
+        "1,2,3/4,5", "1,2/3,5/4", "1,5,3/2/4", "1,3/2,5/4", "1,2,3/4/5", "1,2/4,3/5",
+    ]
+    F = tensor.graph_tabloid(tensor.MultiGraph.make(3, 2, ((2, 3), (2, 3))))
+    cert = tensor.symmetrized_membership_certificate(F, 2)
+    assert [str(s.generator) for s in cert.summands] == [
+        "2,2,1,1", "2,1,1/2", "1,2,1/2", "1,1/2,2", "1,2,1/2", "1,1/2,2", "2,1,1/2",
+    ]
+
+
 def _element_certificate(F, k):
     """The certificate as the element-valued recursion builds it: every level
     forms c(T) * anchor, scales each sub-summand and merges the summands by
