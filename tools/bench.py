@@ -1,6 +1,6 @@
 """Write BENCH_<tag>.json: where the time and memory of this checkout go.
 
-    python3 tools/bench.py --tag 14 [--seed 1] [--seconds 20] [--repeats 3]
+    python3 tools/bench.py --tag 14
 
 Run it from anywhere; it measures the sources in ``src/`` of the checkout it
 sits in, needs nothing installed, and writes ``BENCH_<tag>.json`` at the root
@@ -14,14 +14,14 @@ its child:
 - ``tier1``: the tier-1 tests, ``python -m pytest -q
   --continue-on-collection-errors``, with their wall time, exit code and
   pytest's summary line;
-- ``perfbench``: ``perfbench/run.py --workload <w> --seed <seed> --seconds
-  <seconds>`` run ``--repeats`` times per workload, alternating workloads,
-  and for each end-to-end metric the median over the repeats beside every
-  run's value;
+- ``perfbench``: ``perfbench/run.py --workload <w> --seed 1 --seconds 20``
+  (the run length of BENCHMARK.json) three times per workload, alternating
+  workloads, and for each end-to-end metric the median over the three
+  beside every run's value;
 - the Python version, the CPU count and model, and the commit.
 
-The parts take about a quarter of an hour at the defaults on a 2-core
-machine, most of it in the twelve perfbench runs.
+The parts take about ten minutes on a 2-core machine, most of it in the
+twelve perfbench runs.
 Compare two files only when they were measured on the same machine, close
 together in time: a shared machine's speed drifts.
 """
@@ -41,6 +41,9 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("products", "certificates", "dregular", "verify")
+SEED = 1
+SECONDS = 20
+REPEATS = 3
 
 
 def _env() -> dict:
@@ -155,12 +158,7 @@ def environment() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--tag", required=True, help="names the output file BENCH_<tag>.json")
-    parser.add_argument("--seed", type=int, default=1, help="perfbench workload seed")
-    parser.add_argument("--seconds", type=float, default=20.0, help="perfbench run length")
-    parser.add_argument("--repeats", type=int, default=3, help="perfbench runs per workload")
     args = parser.parse_args(argv)
-    if args.repeats < 1 or args.seconds <= 0:
-        parser.error("--repeats must be at least 1 and --seconds positive")
     bench = {"tag": args.tag, "environment": environment()}
     bench["suites"] = {}
     for name in suite_names():
@@ -168,7 +166,7 @@ def main(argv=None) -> int:
         print(f"suite {name}: {bench['suites'][name]}", file=sys.stderr)
     bench["tier1"] = measure_tier1()
     print(f"tier1: {bench['tier1']}", file=sys.stderr)
-    bench["perfbench"] = measure_perfbench(args.seed, args.seconds, args.repeats)
+    bench["perfbench"] = measure_perfbench(SEED, SECONDS, REPEATS)
     path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
     with open(path, "w") as fh:
         fh.write(json.dumps(bench, indent=2) + "\n")
